@@ -133,7 +133,6 @@ def assemble_load(mesh: MeshHierarchy, f_spec: LoadSpec, region=None):
         i1 = _lattice_coord(x1, n, "rectangle x1")
         j0 = _lattice_coord(y0, n, "rectangle y0")
         j1 = _lattice_coord(y1, n, "rectangle y1")
-        t = elems & 1
         cell = elems >> 1
         ci, cj = cell % n, cell // n
         inside = (ci >= i0) & (ci < i1) & (cj >= j0) & (cj < j1)
@@ -190,121 +189,114 @@ def solve_spd(K, b, constrained_dofs=()):
 
 
 def _row_normalized(C):
+    """C with unit-norm rows, and the row norms (zero rows keep norm 1)."""
     norms = np.sqrt(np.asarray(C.multiply(C).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
-    return sparse.diags(1.0 / norms) @ C
-
-
-def constraint_rank(C):
-    """Rank of the constraint matrix via the row Gram matrix (rows normalized)."""
-    if C.shape[0] == 0:
-        return 0
-    Cn = _row_normalized(C.tocsr())
-    S = (Cn @ Cn.T).toarray()
-    eig = np.linalg.eigvalsh(S)
-    tol = S.shape[0] * np.finfo(float).eps * max(eig[-1], 1.0)
-    return int((eig > tol).sum())
+    return sparse.diags(1.0 / norms) @ C, norms
 
 
 def independent_constraint_rows(C):
-    """Indices of a maximal independent row subset (pivoted QR selection)."""
+    """Indices of a maximal independent row subset of C.
+
+    The rank comes from the eigenvalues of the Gram matrix of the
+    normalized rows; only a rank-deficient C pays for the pivoted QR
+    that picks the rows.
+    """
     m = C.shape[0]
-    rank = constraint_rank(C)
+    if m == 0:
+        return np.arange(0)
+    Cn, _ = _row_normalized(C.tocsr())
+    S = (Cn @ Cn.T).toarray()
+    eig = np.linalg.eigvalsh(S)
+    rank = int((eig > m * np.finfo(float).eps * max(eig[-1], 1.0)).sum())
     if rank == m:
         return np.arange(m)
     from scipy.linalg import qr as dense_qr
 
-    Cn = _row_normalized(C.tocsr()).toarray()
-    _, _, piv = dense_qr(Cn.T, mode="economic", pivoting=True)
+    _, _, piv = dense_qr(Cn.toarray().T, mode="economic", pivoting=True)
     return np.sort(piv[:rank])
 
 
-def _diagnose_rank(C):
-    """Identify constraint rows responsible for rank deficiency (dense QR)."""
-    dense = C.toarray() if sparse.issparse(C) else np.asarray(C)
-    if np.linalg.matrix_rank(dense) == dense.shape[0]:
-        return []
-    # greedy: drop rows whose removal does not lower the rank
-    offenders = []
-    rows = list(range(dense.shape[0]))
-    while rows and np.linalg.matrix_rank(dense[rows]) < len(rows):
-        for i in list(rows):
-            trial = [r for r in rows if r != i]
-            if np.linalg.matrix_rank(dense[trial]) == np.linalg.matrix_rank(dense[rows]):
-                offenders.append(i)
-                rows = trial
-                break
-    return offenders
+class SaddleSystem:
+    """Factorized KKT system K u + C^T lam = b, C u = 0, solved for many b.
+
+    Zero rows of C are pruned and a maximal independent subset of the
+    rest is kept (``dropped_rows`` names the others); redundant rows
+    leave the constrained minimizer unchanged.  The kept rows are
+    equilibrated to unit norm and the symmetric indefinite KKT block
+    matrix is factorized once with a sparse LU.
+    """
+
+    def __init__(self, K, C):
+        self.K = K.tocsr()
+        self.n = self.K.shape[0]
+        C = sparse.csr_matrix((0, self.n)) if C is None else C.tocsr()
+        self.num_rows = C.shape[0]
+        nonzero = np.flatnonzero(np.diff(C.indptr) > 0)
+        kept = independent_constraint_rows(C[nonzero])
+        self.rows = nonzero[kept]
+        self.dropped_rows = np.setdiff1d(nonzero, self.rows)
+        self.C, self.norms = _row_normalized(C[self.rows])
+        self.m = len(self.rows)
+        kkt = sparse.bmat([[self.K, self.C.T], [self.C, None]], format="csc")
+        try:
+            self.lu = spla.splu(kkt)
+        except RuntimeError as exc:
+            raise SolverError(f"KKT factorization failed: {exc}") from exc
+
+    def solve(self, B):
+        """Solutions U and multipliers for a block B of right-hand sides (n, nrhs).
+
+        Each column must meet K u + C^T lam = b and C u = 0 to within
+        SADDLE_RTOL * (||b|| + 1).  Multipliers come back for every row
+        of C in its original scaling, zero for pruned and dropped rows.
+        """
+        rhs = np.vstack([B, np.zeros((self.m, B.shape[1]))])
+        # SuperLU solves a block of four or more columns through BLAS-3
+        # kernels that round differently from its one-column path; going
+        # column by column keeps every result equal to a single solve's.
+        sol = np.column_stack([self.lu.solve(col) for col in rhs.T])
+        U, lam = sol[: self.n], sol[self.n :]
+        r1 = np.linalg.norm(self.K @ U + self.C.T @ lam - B, axis=0)
+        r2 = np.linalg.norm(self.C @ U, axis=0)
+        scale = np.linalg.norm(B, axis=0) + 1.0
+        bad = np.flatnonzero(np.maximum(r1, r2) > SADDLE_RTOL * scale)
+        if len(bad):
+            j = bad[0]
+            raise SolverError(
+                f"saddle solve residuals ({r1[j]:.3e}, {r2[j]:.3e}) exceed "
+                f"{SADDLE_RTOL:.1e} * (||b|| + 1) = {SADDLE_RTOL * scale[j]:.3e}"
+            )
+        lam_full = np.zeros((self.num_rows, B.shape[1]))
+        lam_full[self.rows] = lam / self.norms[:, None]
+        return U, lam_full
 
 
 def solve_saddle(K, C, b):
-    """Solve the KKT system K u + C^T lam = b, C u = 0.
+    """Solve the KKT system K u + C^T lam = b, C u = 0 for one right-hand side.
 
-    Zero constraint rows are pruned first; their multipliers come back
-    as zero.  The factorization is a sparse LU of the symmetric
-    indefinite KKT block matrix.
+    Zero constraint rows are pruned and their multipliers come back as
+    zero.  Linearly dependent rows raise ConstraintDegeneracyError
+    naming the rows a maximal independent subset leaves out.
     """
-    K = K.tocsr()
-    n = K.shape[0]
-    b = np.asarray(b, dtype=float)
-    if C is None or C.shape[0] == 0:
-        return solve_spd(K, b), np.zeros(0)
-
-    C = C.tocsr()
-    nnz_per_row = np.diff(C.indptr)
-    keep = np.flatnonzero(nnz_per_row > 0)
-    lam_full = np.zeros(C.shape[0])
-    if len(keep) == 0:
-        return solve_spd(K, b), lam_full
-    Cp = C[keep]
-    m = Cp.shape[0]
-
-    if constraint_rank(Cp) < m:
-        offenders = _diagnose_rank(_row_normalized(Cp).toarray())
+    system = SaddleSystem(K, C)
+    if len(system.dropped_rows):
+        dropped = [int(r) for r in system.dropped_rows]
         raise ConstraintDegeneracyError(
-            f"constraint matrix rank deficient; dependent rows "
-            f"{[int(keep[i]) for i in offenders]}",
-            offending_rows=[int(keep[i]) for i in offenders],
+            f"constraint matrix rank deficient; dependent rows {dropped}",
+            offending_rows=dropped,
         )
-
-    # equilibrate constraint rows; multipliers are rescaled back afterwards
-    norms = np.sqrt(np.asarray(Cp.multiply(Cp).sum(axis=1)).ravel())
-    Cn = sparse.diags(1.0 / norms) @ Cp
-    kkt = sparse.bmat([[K, Cn.T], [Cn, None]], format="csc")
-    try:
-        lu = spla.splu(kkt)
-        sol = lu.solve(np.concatenate([b, np.zeros(m)]))
-    except RuntimeError as exc:
-        raise SolverError(f"KKT factorization failed: {exc}") from exc
-
-    u, lam = sol[:n], sol[n:] / norms
-    scale = np.linalg.norm(b) + 1.0
-    r1 = np.linalg.norm(K @ u + Cp.T @ lam - b)
-    r2 = np.linalg.norm(Cn @ u)
-    if max(r1, r2) > SADDLE_RTOL * scale:
-        raise SolverError(
-            f"saddle solve residuals ({r1:.3e}, {r2:.3e}) exceed "
-            f"{SADDLE_RTOL:.1e} * (||b|| + 1) = {SADDLE_RTOL * scale:.3e}"
-        )
-    lam_full[keep] = lam
-    return u, lam_full
-
-
-def dump_mm(path, matrix):
-    """Debug dump in Matrix Market coordinate text format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sparse.coo_matrix(matrix))
+    u, lam = system.solve(np.asarray(b, dtype=float)[:, None])
+    return u[:, 0], lam[:, 0]
 
 
 class BilinearFormContext:
-    """Mesh + coefficient bundle with the cached fine stiffness and mass."""
+    """Mesh + coefficient bundle with the cached fine stiffness."""
 
     def __init__(self, mesh: MeshHierarchy, coef):
         self.mesh = mesh
         self.coef = coef
         self.stiffness = assemble_stiffness(mesh, coef)
-        self.mass = assemble_mass(mesh)
         self.constrained_fine = np.flatnonzero(mesh.constrained_fine_mask)
 
     def energy_norm(self, v):

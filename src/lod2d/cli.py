@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,27 +43,11 @@ def _mesh_from_values(values):
                            BoundarySpec.edges(*edges))
 
 
-def _coefficient_from_values(values, mesh, alpha=None):
-    cfg = ExperimentConfig(
-        coarse_level=values["coarse_level"],
-        fine_level=values["fine_level"],
-        coefficient=values.get("coefficient", "stripes"),
-        alphas=values.get("alpha", (0.1,)),
-        operators=("SZ",),
-        ks=(1,),
-        f=values.get("f") or _default_load(),
-        dirichlet=values.get("dirichlet", ("left", "right", "bottom", "top")),
-        seed=values.get("seed", 0),
-        smoothing_passes=values.get("smoothing_passes", 6),
-        one_fraction=values.get("one_fraction", 0.5),
-    )
-    return build_coefficient(cfg, mesh, alpha if alpha is not None else cfg.alphas[0])
-
-
-def _default_load():
-    from .assembly import LoadSpec
-
-    return LoadSpec.constant(1.0)
+def _coefficient_from_values(values, mesh):
+    options = {key: values[key] for key in ("seed", "smoothing_passes", "one_fraction")
+               if key in values}
+    return build_coefficient(values.get("coefficient", "stripes"), mesh,
+                             values.get("alpha", (0.1,))[0], **options)
 
 
 def cmd_coef(args):
@@ -86,8 +69,7 @@ def cmd_kappa(args):
         raise ParameterError(
             f"kappa table needs a dual-basis operator {DUAL_BASIS_KINDS}, got {args.operator!r}"
         )
-    op = build_operator(args.operator, mesh, coef,
-                        delta=values.get("delta", Fraction(1, 4)) if args.operator == "IH" else None)
+    op = build_operator(args.operator, mesh, coef, delta=values.get("delta"))
     lines = ["node,class,sigma_elements,kappa"]
     for node, cls, count, kap in node_variable_table(op.node_variables):
         lines.append(f"{node},{cls},{count},{kap:.17g}")
@@ -119,17 +101,20 @@ def cmd_plot(args):
 
 
 def cmd_decay(args):
+    if args.k_max < 0:
+        raise ParameterError(f"--k-max must be >= 0, got {args.k_max}")
     values = parse_config(args.config)
     mesh = _mesh_from_values(values)
+    T = args.element
+    if T is None:
+        nc = mesh.coarse.n
+        T = 2 * ((nc // 2) * nc + nc // 2)  # central cell, lower triangle
+    elif not 0 <= T < mesh.coarse.num_elements:
+        raise ParameterError(f"--element {T} out of range [0, {mesh.coarse.num_elements})")
     coef = _coefficient_from_values(values, mesh)
     ctx = BilinearFormContext(mesh, coef)
     kind = args.operator
-    op = build_operator(kind, mesh, coef)
-    if args.element is None:
-        nc = mesh.coarse.n
-        T = 2 * ((nc // 2) * nc + nc // 2)  # central cell, lower triangle
-    else:
-        T = args.element
+    op = build_operator(kind, mesh, coef, delta=values.get("delta"))
     verts = [int(v) for v in mesh.coarse.elements[T]]
     free = set(int(z) for z in op.free_nodes)
     nodes = [v for v in verts if v in free]

@@ -188,8 +188,11 @@ def save_pgm(mesh: MeshHierarchy, coef: Coefficient, path):
 
 def load_pgm(mesh: MeshHierarchy, path, alpha) -> Coefficient:
     """Read a PGM written by save_pgm back into a Coefficient."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read PGM {path}: {exc}") from exc
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -205,7 +208,10 @@ def load_pgm(mesh: MeshHierarchy, path, alpha) -> Coefficient:
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise ParameterError(f"{path}: not a binary PGM (P5) file")
-    width, height, maxval = (int(f) for f in fields[1:4])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:4])
+    except ValueError as exc:
+        raise ParameterError(f"{path}: truncated or non-numeric PGM header") from exc
     pos += 1  # single whitespace after maxval
     n = mesh.fine.n
     if (width, height) != (n, n):

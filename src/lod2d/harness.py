@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,7 +95,7 @@ def _parse_value(key, kind, raw):
                     raise ValueError("hat needs x,y")
                 return LoadSpec.hat(*vals)
             raise ValueError(f"unknown load kind {tag!r}")
-    except (ValueError, ParameterError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"config key {key!r}: {exc}") from exc
     raise ParameterError(f"config key {key!r} has no parser")
 
@@ -118,7 +119,11 @@ def parse_config_text(text) -> dict:
 
 
 def parse_config(path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ class ExperimentConfig:
     smoothing_passes: int = 6
     one_fraction: float = 0.5
     rhs_correction: bool = True
-    delta: Fraction = Fraction(1, 4)
+    delta: Fraction | None = None  # None: the operator's own default
     csv: str | None = None
     svg_prefix: str | None = None
     cache_dir: str | None = None
@@ -168,29 +173,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
+        """Config from parsed ``key = value`` pairs; absent optional keys take the field defaults."""
         required = ("coarse_level", "fine_level", "coefficient", "alpha", "operators", "k", "f")
         missing = [key for key in required if key not in values]
         if missing:
             raise ParameterError(f"config is missing required keys: {missing}")
-        return cls(
-            coarse_level=values["coarse_level"],
-            fine_level=values["fine_level"],
-            coefficient=values["coefficient"],
-            alphas=values["alpha"],
-            operators=values["operators"],
-            ks=values["k"],
-            f=values["f"],
-            dirichlet=values.get("dirichlet", tuple(EDGE_NAMES)),
-            seed=values.get("seed", 0),
-            smoothing_passes=values.get("smoothing_passes", 6),
-            one_fraction=values.get("one_fraction", 0.5),
-            rhs_correction=values.get("rhs_correction", True),
-            delta=values.get("delta", Fraction(1, 4)),
-            csv=values.get("csv"),
-            svg_prefix=values.get("svg_prefix"),
-            cache_dir=values.get("cache_dir"),
-            record_timings=values.get("record_timings", False),
-        )
+        fields = {"alpha": "alphas", "k": "ks"}
+        return cls(**{fields.get(key, key): value for key, value in values.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -237,16 +226,17 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def build_coefficient(config: ExperimentConfig, mesh, alpha):
-    if config.coefficient == "stripes":
+def build_coefficient(kind, mesh, alpha, seed=0, smoothing_passes=6, one_fraction=0.5):
+    """Generate the named coefficient; seed and the field options apply where used."""
+    if kind == "stripes":
         return coefmod.gen_stripes(mesh, alpha)
-    if config.coefficient == "balls":
-        return coefmod.gen_random_balls(mesh, alpha, config.seed)
-    return coefmod.gen_random_field(
-        mesh, alpha, config.seed,
-        smoothing_passes=config.smoothing_passes,
-        one_fraction=config.one_fraction,
-    )
+    if kind == "balls":
+        return coefmod.gen_random_balls(mesh, alpha, seed)
+    if kind == "field":
+        return coefmod.gen_random_field(
+            mesh, alpha, seed, smoothing_passes=smoothing_passes, one_fraction=one_fraction
+        )
+    raise ParameterError(f"coefficient must be one of {COEFFICIENT_KINDS}, got {kind!r}")
 
 
 def _reference_cache_key(config: ExperimentConfig, alpha):
@@ -265,33 +255,44 @@ def _reference_cache_key(config: ExperimentConfig, alpha):
 
 
 def _cached_reference(config, ctx, alpha):
+    """Reference solution from the cache, rebuilt when missing or unreadable.
+
+    Entries are written to a temporary file and renamed into place, so
+    a reader never sees a partly written one.
+    """
     if not config.cache_dir:
         return reference_solution(ctx, config.f)
     cache = Path(config.cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"ref_{_reference_cache_key(config, alpha)}.npy"
-    if path.exists():
+    try:
         u = np.load(path)
         if u.shape == (ctx.mesh.fine.num_nodes,):
             return u
+    except (OSError, ValueError, EOFError):
+        pass
     u = reference_solution(ctx, config.f)
-    np.save(path, u)
+    with tempfile.NamedTemporaryFile(dir=cache, suffix=".tmp", delete=False) as fh:
+        np.save(fh, u)
+    os.replace(fh.name, path)
     return u
 
 
 def _worker_count():
+    """Sweep workers from LOD_THREADS; unset or 0 means min(4, cpu count)."""
     raw = os.environ.get("LOD_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
+        n = -1
+    if n < 0:
+        raise ParameterError(f"LOD_THREADS must be a non-negative integer, got {raw!r}")
+    return n or min(4, os.cpu_count() or 1)
 
 
 def run_experiment(config: ExperimentConfig):
     """Run the full sweep; returns the sorted result rows and writes the CSV."""
+    workers = _worker_count()
     mesh = build_hierarchy(
         config.coarse_level, config.fine_level, BoundarySpec.edges(*config.dirichlet)
     )
@@ -299,13 +300,16 @@ def run_experiment(config: ExperimentConfig):
     contexts, references, operators = {}, {}, {}
     op_errors = {}
     for alpha in config.alphas:
-        coef = build_coefficient(config, mesh, alpha)
+        coef = build_coefficient(
+            config.coefficient, mesh, alpha, config.seed,
+            config.smoothing_passes, config.one_fraction,
+        )
         ctx = BilinearFormContext(mesh, coef)
         contexts[alpha] = ctx
         references[alpha] = _cached_reference(config, ctx, alpha)
         for kind in config.operators:
             try:
-                operators[(kind, alpha)] = build_operator(kind, mesh, coef, delta=_op_delta(config, kind))
+                operators[(kind, alpha)] = build_operator(kind, mesh, coef, delta=config.delta)
             except (ParameterError, SolverError, np.linalg.LinAlgError) as exc:
                 op_errors[(kind, alpha)] = exc
 
@@ -330,7 +334,6 @@ def run_experiment(config: ExperimentConfig):
         )
 
     cells = config.sweep_cells()
-    workers = _worker_count()
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_cell, cells))
@@ -345,14 +348,6 @@ def run_experiment(config: ExperimentConfig):
     return rows
 
 
-def _op_delta(config, kind):
-    if kind == "IH":
-        return config.delta
-    if kind == "IH1":
-        return Fraction(1)
-    return None
-
-
 def write_csv(path, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -361,19 +356,28 @@ def write_csv(path, rows):
 
 
 def read_csv(path):
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read results CSV {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ParameterError(f"{path}: not a results CSV (bad header)")
+    width = CSV_HEADER.count(",") + 1
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        rows.append(
-            ResultRow(
-                parts[0], float(parts[1]), int(parts[2]), float(parts[3]),
-                float(parts[4]), float(parts[5]), float(parts[6]),
-                int(parts[7]), parts[8],
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            rows.append(
+                ResultRow(
+                    parts[0], float(parts[1]), int(parts[2]), float(parts[3]),
+                    float(parts[4]), float(parts[5]), float(parts[6]),
+                    int(parts[7]), parts[8],
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParameterError(f"{path} line {lineno}: {exc}") from exc
     return rows
 
 

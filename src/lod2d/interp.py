@@ -100,41 +100,40 @@ def dual_basis(mesh: MeshHierarchy, sigma, own_node):
 
 def kappa(mesh: MeshHierarchy, sigma, own_node):
     """Dual-basis stability constant kappa = H^{d/2} ||psi||_{L2(sigma)} (d = 2)."""
-    _, xi = dual_basis(mesh, sigma, own_node)
-    return float(np.sqrt(mesh.H**2 * xi[0]))
+    return _dual_node_variable(mesh, own_node, "plain", sigma).kappa
 
 
-def kappa_from_determinants(mesh: MeshHierarchy, sigma, own_node):
-    """kappa from the Gram determinant ratio, an independent evaluation path."""
-    idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
-    _, M = _coarse_gram(mesh, idx, own_node)
-    sign, logdet = np.linalg.slogdet(M)
-    sign11, logdet11 = np.linalg.slogdet(M[1:, 1:]) if M.shape[0] > 1 else (1.0, 0.0)
-    if sign <= 0 or sign11 <= 0:
-        raise DegenerateSigmaError("Gram determinant not positive")
-    return float(np.sqrt(mesh.H**2 * np.exp(logdet11 - logdet)))
+def _dual_node_variable(mesh, z, cls, sigma):
+    support, xi = dual_basis(mesh, sigma, z)
+    return NodeVariable(int(z), cls, sigma, support, xi, float(np.sqrt(mesh.H**2 * xi[0])))
 
 
 def _incident_fine_elements(mesh, z):
     return mesh.fine.elements_of_node(mesh.coarse_node_to_fine(z))
 
 
-def _flood_fill(mesh, allowed_mask, seeds):
-    """Edge-adjacency flood fill over fine elements limited to allowed_mask."""
+def _reachable(mesh, allowed, seeds, values=None):
+    """Mask of the fine elements reachable from the allowed seeds by edge steps.
+
+    Every step stays inside the ``allowed`` mask; with ``values`` given,
+    a step from E to its neighbor N is taken only when
+    values[N] <= values[E].
+    """
     neighbors = mesh.fine.edge_neighbors
     visited = np.zeros(mesh.fine.num_elements, dtype=bool)
     queue = deque()
     for s in np.atleast_1d(seeds):
-        if allowed_mask[s] and not visited[s]:
+        if allowed[s] and not visited[s]:
             visited[s] = True
             queue.append(int(s))
     while queue:
         e = queue.popleft()
         for nb in neighbors[e]:
-            if nb >= 0 and allowed_mask[nb] and not visited[nb]:
+            if (nb >= 0 and allowed[nb] and not visited[nb]
+                    and (values is None or values[nb] <= values[e])):
                 visited[nb] = True
                 queue.append(int(nb))
-    return np.flatnonzero(visited)
+    return visited
 
 
 def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
@@ -156,11 +155,10 @@ def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
         else:
             patch_fine = mesh.fine_set(node_patch(mesh, z))
             allowed = patch_fine.mask(mesh.fine.num_elements) & coef.is_one
-            sigma = ElementSet(mesh.fine_level, _flood_fill(mesh, allowed, flagged.min()))
+            reached = _reachable(mesh, allowed, flagged.min())
+            sigma = ElementSet(mesh.fine_level, np.flatnonzero(reached))
             cls = "I"
-        support, xi = dual_basis(mesh, sigma, z)
-        kap = float(np.sqrt(mesh.H**2 * xi[0]))
-        nodevars.append(NodeVariable(int(z), cls, sigma, support, xi, kap))
+        nodevars.append(_dual_node_variable(mesh, z, cls, sigma))
     return nodevars
 
 
@@ -171,23 +169,9 @@ def quasi_monotone_region(mesh: MeshHierarchy, coef: Coefficient, z) -> ElementS
     from E to an edge neighbor N only when A(N) <= A(E), so each reached
     element has a coefficient-nondecreasing path back to the node.
     """
-    values = coef.values()
-    patch_fine = mesh.fine_set(node_patch(mesh, z))
-    allowed = patch_fine.mask(mesh.fine.num_elements)
-    neighbors = mesh.fine.edge_neighbors
-    visited = np.zeros(mesh.fine.num_elements, dtype=bool)
-    queue = deque()
-    for s in _incident_fine_elements(mesh, z):
-        if allowed[s]:
-            visited[s] = True
-            queue.append(int(s))
-    while queue:
-        e = queue.popleft()
-        for nb in neighbors[e]:
-            if nb >= 0 and allowed[nb] and not visited[nb] and values[nb] <= values[e]:
-                visited[nb] = True
-                queue.append(int(nb))
-    return ElementSet(mesh.fine_level, np.flatnonzero(visited))
+    allowed = mesh.fine_set(node_patch(mesh, z)).mask(mesh.fine.num_elements)
+    reached = _reachable(mesh, allowed, _incident_fine_elements(mesh, z), coef.values())
+    return ElementSet(mesh.fine_level, np.flatnonzero(reached))
 
 
 def is_quasi_monotone(mesh: MeshHierarchy, coef: Coefficient, region, z) -> bool:
@@ -198,21 +182,8 @@ def is_quasi_monotone(mesh: MeshHierarchy, coef: Coefficient, region, z) -> bool
         return True
     in_region = np.zeros(mesh.fine.num_elements, dtype=bool)
     in_region[idx] = True
-    values = coef.values()
-    neighbors = mesh.fine.edge_neighbors
-    reached = np.zeros(mesh.fine.num_elements, dtype=bool)
-    queue = deque()
-    for s in _incident_fine_elements(mesh, z):
-        if in_region[s]:
-            reached[s] = True
-            queue.append(int(s))
-    while queue:
-        e = queue.popleft()
-        for nb in neighbors[e]:
-            # reverse traversal of a nondecreasing path toward z
-            if nb >= 0 and in_region[nb] and not reached[nb] and values[nb] <= values[e]:
-                reached[nb] = True
-                queue.append(int(nb))
+    # reverse traversal of a nondecreasing path toward z
+    reached = _reachable(mesh, in_region, _incident_fine_elements(mesh, z), coef.values())
     return bool(reached[idx].all())
 
 
@@ -232,12 +203,16 @@ def _dual_basis_rows(mesh, nodevars, weight=None):
 
 
 def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> InterpOperator:
-    """Construct one of the six operators as a sparse fine-to-coarse map."""
+    """Construct one of the six operators as a sparse fine-to-coarse map.
+
+    ``delta`` scales the class II integration domains of ``IH`` (default
+    1/4); ``IH1`` always uses the full node patch (delta = 1), and the
+    other kinds have no class II nodes, so both ignore it.
+    """
     if kind not in OPERATOR_KINDS:
         raise ParameterError(f"unknown operator kind {kind!r}; choose from {OPERATOR_KINDS}")
     free = mesh.free_coarse_nodes
     n_fine = mesh.fine.num_nodes
-    nodevars = None
 
     if kind == "nodal":
         rows = np.arange(len(free))
@@ -247,24 +222,24 @@ def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> 
         )
         return InterpOperator(kind, R, free)
 
-    if kind in DUAL_BASIS_KINDS:
-        if kind == "SZ":
-            nodevars = []
-            for z in free:
-                sigma = mesh.fine_set(node_patch(mesh, z))
-                support, xi = dual_basis(mesh, sigma, z)
-                kap = float(np.sqrt(mesh.H**2 * xi[0]))
-                nodevars.append(NodeVariable(int(z), "plain", sigma, support, xi, kap))
-        else:
-            if delta is None:
-                delta = Fraction(1, 4) if kind == "IH" else Fraction(1)
-            nodevars = classify_nodes_ih(mesh, coef, delta)
-        rows, cols, vals = _dual_basis_rows(mesh, nodevars)
+    if kind == "IH1":
+        delta = Fraction(1)
+    elif kind == "IH" and delta is None:
+        delta = Fraction(1, 4)
+    elif kind != "IH":
+        delta = None
+    weight = None
+    if kind == "SZ":
+        nodevars = [
+            _dual_node_variable(mesh, z, "plain", mesh.fine_set(node_patch(mesh, z)))
+            for z in free
+        ]
+    elif kind in ("IH", "IH1"):
+        nodevars = classify_nodes_ih(mesh, coef, delta)
     else:  # Aproj / AprojQM: coefficient-weighted local projections
+        weight = coef
         nodevars = []
-        rows, cols, vals = [], [], []
-        P = mesh.prolongation_matrix
-        for row_idx, z in enumerate(free):
+        for z in free:
             if kind == "Aproj":
                 region = mesh.fine_set(node_patch(mesh, z))
             else:
@@ -274,24 +249,13 @@ def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> 
             nodevars.append(
                 NodeVariable(int(z), "plain", region, support, xi, float("nan"))
             )
-            M_fine = assemble_mass(mesh, region=region.indices, weight=coef)
-            w = np.zeros(mesh.coarse.num_nodes)
-            w[support] = xi
-            row = M_fine @ (P @ w)
-            nz = np.flatnonzero(row)
-            rows.append(np.full(len(nz), row_idx))
-            cols.append(nz)
-            vals.append(row[nz])
+    rows, cols, vals = _dual_basis_rows(mesh, nodevars, weight)
 
     R = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(free), n_fine),
     )
-    if kind in ("IH", "IH1"):
-        used_delta = delta if delta is not None else (Fraction(1, 4) if kind == "IH" else Fraction(1))
-    else:
-        used_delta = None
-    return InterpOperator(kind, R, free, node_variables=nodevars, delta=used_delta)
+    return InterpOperator(kind, R, free, node_variables=nodevars, delta=delta)
 
 
 @dataclass

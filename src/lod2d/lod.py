@@ -15,17 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BilinearFormContext,
-    SADDLE_RTOL,
+    SaddleSystem,
     assemble_load,
     assemble_stiffness,
     energy_norm,
     solve_spd,
 )
-from .errors import ConstraintDegeneracyError, ParameterError, SolverError
+from .errors import ParameterError, SolverError
 from .interp import InterpOperator
 from .mesh import ElementSet, element_patch
 
@@ -44,46 +43,6 @@ def _resolve_k(mesh, k):
     if k < 1:
         raise ParameterError(f"patch size k must be >= 1, got {k}")
     return min(k, saturation_k(mesh))
-
-
-class _PatchSolver:
-    """Factorized KKT system on one patch, reused across right-hand sides.
-
-    Node-variable rows restricted to a patch can coincide on the patch
-    subspace; redundant rows are reduced to an independent subset, which
-    leaves the constrained minimizer unchanged.
-    """
-
-    def __init__(self, K_dofs, C_dofs):
-        from .assembly import _row_normalized, independent_constraint_rows
-
-        C_dofs = C_dofs.tocsr()
-        keep = np.flatnonzero(np.diff(C_dofs.indptr) > 0)
-        C = C_dofs[keep]
-        C = _row_normalized(C[independent_constraint_rows(C)])
-        self.C = C
-        self.n = K_dofs.shape[0]
-        self.m = self.C.shape[0]
-        kkt = sparse.bmat([[K_dofs, self.C.T], [self.C, None]], format="csc")
-        try:
-            self.lu = spla.splu(kkt)
-        except RuntimeError as exc:
-            raise ConstraintDegeneracyError(
-                f"patch KKT factorization failed: {exc}"
-            ) from exc
-        self.K = K_dofs
-
-    def solve(self, b):
-        sol = self.lu.solve(np.concatenate([b, np.zeros(self.m)]))
-        u, lam = sol[: self.n], sol[self.n :]
-        scale = np.linalg.norm(b) + 1.0
-        r1 = np.linalg.norm(self.K @ u + self.C.T @ lam - b)
-        r2 = np.linalg.norm(self.C @ u) if self.m else 0.0
-        if max(r1, r2) > SADDLE_RTOL * scale:
-            raise SolverError(
-                f"patch solve residuals ({r1:.3e}, {r2:.3e}) exceed tolerance"
-            )
-        return u
 
 
 def _patch_free_dofs(ctx: BilinearFormContext, patch: ElementSet):
@@ -105,55 +64,31 @@ def _patch_free_dofs(ctx: BilinearFormContext, patch: ElementSet):
     return np.flatnonzero(free), fine_els
 
 
-class _CorrectorEngine:
-    """Shared patch machinery; caches the factorization between identical patches."""
+def _element_solve(ctx, op, T, k, verts, load=None, reuse=(None, None)):
+    """The patch work of coarse element T in one batched saddle-point solve.
 
-    def __init__(self, ctx: BilinearFormContext, op: InterpOperator, k):
-        self.ctx = ctx
-        self.op = op
-        self.k = _resolve_k(ctx.mesh, k)
-        self._cache_key = None
-        self._cache = None
-
-    def patch_of(self, T):
-        mesh = self.ctx.mesh
-        return element_patch(mesh, ElementSet(mesh.coarse_level, [T]), self.k)
-
-    def system_for(self, T):
-        dofs, _ = _patch_free_dofs(self.ctx, self.patch_of(T))
-        key = dofs.tobytes()
-        if key != self._cache_key:
-            K_dofs = self.ctx.stiffness[dofs][:, dofs]
-            C_dofs = self.op.matrix[:, dofs]
-            self._cache = (dofs, _PatchSolver(K_dofs, C_dofs))
-            self._cache_key = key
-        return self._cache
-
-    def element_rhs(self, T):
-        """Stiffness restricted to T's fine children, for corrector right sides."""
-        mesh = self.ctx.mesh
-        children = mesh.fine_elements_of_coarse([T])
-        return assemble_stiffness(mesh, self.ctx.coef, region=children), children
-
-    def corrector_for(self, T, coarse_node):
-        dofs, solver = self.system_for(T)
-        K_T, _ = self.element_rhs(T)
-        phi = self.ctx.mesh.prolongation_matrix[:, coarse_node].toarray().ravel()
-        b = (K_T @ phi)[dofs]
-        out = np.zeros(self.ctx.mesh.fine.num_nodes)
-        out[dofs] = solver.solve(b)
-        return out
-
-    def rhs_corrector_for(self, T, f_spec):
-        mesh = self.ctx.mesh
-        children = mesh.fine_elements_of_coarse([T])
-        b_full = assemble_load(mesh, f_spec, region=children)
-        if not b_full.any():
-            return None
-        dofs, solver = self.system_for(T)
-        out = np.zeros(mesh.fine.num_nodes)
-        out[dofs] = solver.solve(b_full[dofs])
-        return out
+    Builds the saddle system of T's k-layer patch, or takes ``reuse`` =
+    (dofs, system) of the previous element when its free DOF set is the
+    same.  The corrector right-hand sides of the coarse hats ``verts``
+    come from one product with T's element stiffness; the
+    element-restricted ``load``, when given, is the last column.
+    Returns (dofs, system, U) with one column of U per right-hand side
+    (U is None when there are none).
+    """
+    mesh = ctx.mesh
+    patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
+    dofs, _ = _patch_free_dofs(ctx, patch)
+    prev_dofs, system = reuse
+    if not np.array_equal(prev_dofs, dofs):
+        system = SaddleSystem(ctx.stiffness[dofs][:, dofs], op.matrix[:, dofs])
+    columns = []
+    if verts:
+        K_T = assemble_stiffness(mesh, ctx.coef, region=mesh.fine_elements_of_coarse([T]))
+        columns.append((K_T @ mesh.prolongation_matrix[:, verts])[dofs].toarray())
+    if load is not None:
+        columns.append(load[dofs, None])
+    U = system.solve(np.hstack(columns))[0] if columns else None
+    return dofs, system, U
 
 
 def element_corrector(ctx, op, i, T, k=INFINITE_K):
@@ -169,16 +104,23 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
         raise ParameterError(f"coarse element {T} out of range")
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
-    engine = _CorrectorEngine(ctx, op, k)
-    return engine.corrector_for(T, i)
+    dofs, _, U = _element_solve(ctx, op, T, _resolve_k(mesh, k), [int(i)])
+    out = np.zeros(mesh.fine.num_nodes)
+    out[dofs] = U[:, 0]
+    return out
 
 
 def rhs_corrector(ctx, op, T, k, f_spec):
     """Kernel correction of the load restricted to element T (zero without a solve
     when the load vanishes there)."""
-    engine = _CorrectorEngine(ctx, op, k)
-    out = engine.rhs_corrector_for(T, f_spec)
-    return np.zeros(ctx.mesh.fine.num_nodes) if out is None else out
+    mesh = ctx.mesh
+    k = _resolve_k(mesh, k)
+    load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
+    out = np.zeros(mesh.fine.num_nodes)
+    if load.any():
+        dofs, _, U = _element_solve(ctx, op, T, k, [], load)
+        out[dofs] = U[:, 0]
+    return out
 
 
 @dataclass
@@ -194,35 +136,37 @@ class CorrectorSet:
 def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
     """All node correctors (and optionally the summed RHS correction).
 
-    Each coarse element's patch system is factorized once and reused
-    for the right-hand sides of its (up to three) free vertices and the
-    element-restricted load.
+    Visits the coarse elements in order.  Each element's patch system
+    is factorized once, or reused from the previous element when the
+    free DOF set is the same, and one batched solve covers the
+    correctors of its (up to three) free vertices and, with
+    ``rhs_correction``, its element-restricted load.
     """
     mesh = ctx.mesh
-    engine = _CorrectorEngine(ctx, op, k)
+    k = _resolve_k(mesh, k)
     free = op.free_nodes
     row_of = {int(z): idx for idx, z in enumerate(free)}
     n_fine = mesh.fine.num_nodes
     acc_rows, acc_cols, acc_vals = [], [], []
     u_f = np.zeros(n_fine) if rhs_correction else None
+    dofs = system = None
 
     for T in range(mesh.coarse.num_elements):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
         if not verts and not rhs_correction:
             continue
-        dofs, solver = engine.system_for(T)
-        K_T, _ = engine.element_rhs(T)
-        for v in verts:
-            phi = mesh.prolongation_matrix[:, v].toarray().ravel()
-            b = (K_T @ phi)[dofs]
-            q = solver.solve(b)
+        load = None
+        if rhs_correction:
+            load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
+            if not load.any():
+                load = None
+        dofs, system, U = _element_solve(ctx, op, T, k, verts, load, reuse=(dofs, system))
+        for j, v in enumerate(verts):
             acc_rows.append(np.full(len(dofs), row_of[v]))
             acc_cols.append(dofs)
-            acc_vals.append(q)
-        if rhs_correction:
-            b_full = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
-            if b_full.any():
-                u_f[dofs] += solver.solve(b_full[dofs])
+            acc_vals.append(U[:, j].copy())  # a view would keep all of U alive
+        if load is not None:
+            u_f[dofs] += U[:, -1]
 
     if acc_rows:
         Q = sparse.csr_matrix(
@@ -231,8 +175,7 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
         )
     else:
         Q = sparse.csr_matrix((len(free), n_fine))
-    correctors = CorrectorSet(engine.k, op.kind, free, Q)
-    return correctors, u_f
+    return CorrectorSet(k, op.kind, free, Q), u_f
 
 
 @dataclass

@@ -130,12 +130,6 @@ class _Level:
     def node_ij(self, idx):
         return idx % (self.n + 1), idx // (self.n + 1)
 
-    def element_cell(self, e):
-        """(cell column, cell row, triangle) of element index e."""
-        t = e & 1
-        cell = e >> 1
-        return cell % self.n, cell // self.n, t
-
     @property
     def node_to_elements(self):
         """CSR-style (indptr, flat element indices) incidence, built lazily."""

@@ -9,7 +9,6 @@ from lod2d.assembly import (
     assemble_mass,
     assemble_mixed_mass,
     assemble_stiffness,
-    dump_mm,
     energy_norm,
     solve_saddle,
     solve_spd,
@@ -259,13 +258,3 @@ def test_energy_norm_coefficient_scaling(mesh):
     rng = np.random.default_rng(8)
     v = rng.standard_normal(mesh.fine.num_nodes)
     assert energy_norm(Kc, v) == pytest.approx(np.sqrt(c) * energy_norm(K1, v), rel=1e-12)
-
-
-def test_matrix_market_dump(tmp_path, mesh):
-    from scipy.io import mmread
-
-    K = assemble_stiffness(mesh, region=np.array([0, 1, 2]))
-    path = tmp_path / "K.mtx"
-    dump_mm(path, K)
-    back = mmread(path)
-    assert abs(sparse.csr_matrix(back) - K).nnz == 0

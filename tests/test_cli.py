@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lod2d.cli import cli
 from lod2d.coefficient import load_pgm
@@ -124,3 +125,51 @@ def test_missing_level_key(tmp_path, capsys):
     cfg.write_text("coefficient = field\n")
     assert cli(["coef", str(cfg), str(tmp_path / "x.pgm")]) == 1
     assert "coarse_level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "delta-zero-denominator",
+        "missing-config",
+        "non-utf8-config",
+        "short-csv-row",
+        "non-numeric-csv-field",
+        "element-out-of-range",
+        "negative-k-max",
+    ],
+)
+def test_malformed_input_exits_one(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    decay = ["decay", str(cfg), str(tmp_path / "d.csv")]
+    csv = tmp_path / "res.csv"
+    header = "operator,alpha,k,H,h,rel_energy_error,wall_time_s,seed,status\n"
+    if case == "delta-zero-denominator":
+        argv = ["kappa", str(write_config(tmp_path, "delta = 1/0\n")), str(tmp_path / "k.csv")]
+    elif case == "missing-config":
+        argv = ["coef", str(tmp_path / "nope.cfg"), str(tmp_path / "x.pgm")]
+    elif case == "non-utf8-config":
+        cfg.write_bytes(b"coarse_level = \xff\n")
+        argv = ["coef", str(cfg), str(tmp_path / "x.pgm")]
+    elif case == "short-csv-row":
+        csv.write_text(header + "IH,0.1\n")
+        argv = ["plot", str(csv), str(tmp_path / "p_")]
+    elif case == "non-numeric-csv-field":
+        csv.write_text(header + "IH,0.1,1,0.25,0.0625,x,0,5,ok\n")
+        argv = ["plot", str(csv), str(tmp_path / "p_")]
+    elif case == "element-out-of-range":
+        argv = decay + ["--element", "99999"]
+    else:
+        argv = decay + ["--k-max", "-1"]
+    assert cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_decay_honours_config_delta(tmp_path, capsys):
+    # delta = 3/8 is not representable at H/h = 4, so IH fails once delta is read
+    args = ["--operator", "IH", "--k-max", "1"]
+    assert cli(["decay", str(write_config(tmp_path)), str(tmp_path / "d.csv"), *args]) == 0
+    cfg = write_config(tmp_path, "delta = 3/8\n")
+    assert cli(["decay", str(cfg), str(tmp_path / "e.csv"), *args]) == 1
+    assert "delta" in capsys.readouterr().err

@@ -216,6 +216,19 @@ def test_pgm_dimension_mismatch(tmp_path, mesh36):
         load_pgm(mesh36, path, 0.5)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\n64", b"P5\n64 sixty-four\n255\n" + b"\x00" * 4096, b"", None],
+    ids=["truncated-header", "non-numeric-header", "empty", "missing-file"],
+)
+def test_pgm_malformed_header(tmp_path, mesh36, data):
+    path = tmp_path / "bad.pgm"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(ParameterError):
+        load_pgm(mesh36, path, 0.5)
+
+
 def test_pgm_malformed(tmp_path, mesh36):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n4 4\n255\n" + b"\x00" * 16)

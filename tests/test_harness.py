@@ -1,6 +1,9 @@
+import os
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from lod2d.assembly import LoadSpec
 from lod2d.errors import ParameterError
@@ -8,7 +11,9 @@ from lod2d.harness import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _worker_count,
     emit_svg,
+    parse_config,
     parse_config_text,
     read_csv,
     run_experiment,
@@ -193,3 +198,61 @@ def test_emit_svg_skips_failed_rows(tmp_path):
     ]
     (path,) = emit_svg(rows, str(tmp_path / "plot_"))
     assert path.read_text().count("<circle") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"coarse_level = 2\ndelta = 1/0\n", b"coarse_level = \xff\xfe\n", None],
+    ids=["zero-denominator", "not-utf8", "missing-file"],
+)
+def test_parse_config_malformed_file(tmp_path, content):
+    path = tmp_path / "c.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ParameterError):
+        parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "IH,0.1,1",
+        "IH,0.1,one,0.0625,0.0078125,1e-3,0,7,ok",
+        "IH,0.1,1,0.0625,0.0078125,1e-3,0,7,ok,extra",
+    ],
+    ids=["short-row", "non-numeric-field", "long-row"],
+)
+def test_read_csv_malformed_row(tmp_path, row):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParameterError, match="line 2"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_lod_threads_rejects_bad_values(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("LOD_THREADS", raw)
+    with pytest.raises(ParameterError, match="LOD_THREADS"):
+        run_experiment(tiny_config(tmp_path))
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_lod_threads_zero_means_auto(monkeypatch):
+    monkeypatch.setenv("LOD_THREADS", "0")
+    assert _worker_count() == min(4, os.cpu_count() or 1)
+    monkeypatch.setenv("LOD_THREADS", "3")
+    assert _worker_count() == 3
+
+
+def test_truncated_reference_cache_is_rebuilt(tmp_path):
+    config = tiny_config(tmp_path, csv=str(tmp_path / "a.csv"))
+    run_experiment(config)
+    cache = tmp_path / "cache"
+    entries = sorted(cache.glob("ref_*.npy"))
+    assert len(entries) == len(config.alphas)
+    for path in entries:
+        path.write_bytes(path.read_bytes()[:100])
+    run_experiment(replace(config, csv=str(tmp_path / "b.csv")))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert all(np.load(path).ndim == 1 for path in entries)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in entries)

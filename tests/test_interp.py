@@ -7,13 +7,13 @@ from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
 from lod2d.errors import DegenerateSigmaError, ParameterError
 from lod2d.interp import (
     OPERATOR_KINDS,
+    _coarse_gram,
     build_operator,
     classify_nodes_ih,
     coverage_report,
     dual_basis,
     is_quasi_monotone,
     kappa,
-    kappa_from_determinants,
     quasi_monotone_region,
 )
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, node_patch
@@ -95,6 +95,16 @@ def test_kappa_edge_strip(mesh17):
     k2 = kappa(mesh17, sigma, own) ** 2
     assert k2 == pytest.approx(KAPPA2_STRIP_1_64, rel=1e-10)
     assert 6.65 <= k2 / 64.0 <= 7.35
+
+
+def kappa_from_determinants(mesh, sigma, own_node):
+    """kappa from the Gram determinant ratio, an evaluation path independent of the solve."""
+    idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
+    _, M = _coarse_gram(mesh, idx, own_node)
+    sign, logdet = np.linalg.slogdet(M)
+    sign11, logdet11 = np.linalg.slogdet(M[1:, 1:]) if M.shape[0] > 1 else (1.0, 0.0)
+    assert sign > 0 and sign11 > 0, "Gram determinant not positive"
+    return float(np.sqrt(mesh.H**2 * np.exp(logdet11 - logdet)))
 
 
 def test_kappa_determinant_consistency(mesh36):

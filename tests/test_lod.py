@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-import lod2d.lod as lodmod
-from lod2d.assembly import BilinearFormContext, LoadSpec, assemble_load
+from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
 from lod2d.interp import build_operator
 from lod2d.lod import (
@@ -100,13 +99,13 @@ def test_element_corrector_validation(small):
 def test_rhs_corrector_skips_zero_load(small, monkeypatch):
     mesh, coef, ctx, op = small
     calls = []
-    orig = lodmod._PatchSolver.solve
+    orig = SaddleSystem.solve
 
-    def counting(self, b):
+    def counting(self, B):
         calls.append(1)
-        return orig(self, b)
+        return orig(self, B)
 
-    monkeypatch.setattr(lodmod._PatchSolver, "solve", counting)
+    monkeypatch.setattr(SaddleSystem, "solve", counting)
     f = LoadSpec.rectangle(0.25, 0.5, 0.25, 0.5)
     T_far = mesh.coarse.num_elements - 1  # upper-right corner, away from support
     out = rhs_corrector(ctx, op, T_far, 2, f)
@@ -330,3 +329,53 @@ def test_fit_log10_slope():
     assert np.isnan(fit_log10_slope([1], [0.5]))
     # entries at or below the floor are ignored
     assert fit_log10_slope([0, 1, 2], [1.0, 0.1, 0.0], floor=0.0) == pytest.approx(-1.0)
+
+
+# 17-digit regression values for a small sweep (L=2, l_f=6, alpha=1e-3, rect
+# load, rhs correction): a change to the patch solver, the corrector loop or
+# the operator builds must reproduce them to roundoff.
+PINNED_ERRORS = {
+    ("balls", "SZ", 1): 0.44631668501439115,
+    ("balls", "SZ", 2): 0.07683931327107667,
+    ("balls", "nodal", 1): 0.22751324410867532,
+    ("balls", "nodal", 2): 0.008295766915795727,
+    ("balls", "IH", 1): 0.23281804721028873,
+    ("balls", "IH", 2): 0.006159864741681796,
+    ("balls", "IH1", 1): 0.29157901846707385,
+    ("balls", "IH1", 2): 0.009507576348542306,
+    ("balls", "Aproj", 1): 0.4621330967169142,
+    ("balls", "Aproj", 2): 0.14269831673001257,
+    ("balls", "AprojQM", 1): 0.3003002053392483,
+    ("balls", "AprojQM", 2): 0.022090132450147255,
+    ("stripes", "SZ", 1): 0.22752402437447383,
+    ("stripes", "SZ", 2): 0.10796274685088104,
+    ("stripes", "nodal", 1): 0.25675084549173005,
+    ("stripes", "nodal", 2): 0.16062513316312316,
+    ("stripes", "IH", 1): 0.2612490975954278,
+    ("stripes", "IH", 2): 0.16745925346263407,
+    ("stripes", "IH1", 1): 0.2612490975954278,
+    ("stripes", "IH1", 2): 0.16745925346263407,
+    ("stripes", "Aproj", 1): 0.19009121228984388,
+    ("stripes", "Aproj", 2): 0.10923532540413519,
+    ("stripes", "AprojQM", 1): 0.2611838840866854,
+    ("stripes", "AprojQM", 2): 0.1670462078467614,
+}
+
+
+@pytest.mark.parametrize("coefficient", ["balls", "stripes"])
+def test_errors_pinned_for_all_operators(coefficient):
+    mesh = build_hierarchy(2, 6, BoundarySpec.all_edges())
+    if coefficient == "balls":
+        coef = gen_random_balls(mesh, 1e-3, 3)
+    else:
+        coef = gen_stripes(mesh, 1e-3)
+    ctx = BilinearFormContext(mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    u_ref = reference_solution(ctx, f)
+    for (name, kind, k), pinned in PINNED_ERRORS.items():
+        if name != coefficient:
+            continue
+        op = build_operator(kind, mesh, coef)
+        sol = solve_multiscale(ctx, op, k, f)
+        err = relative_energy_error(ctx, u_ref, sol.u_total)
+        assert err == pytest.approx(pinned, rel=1e-12), (kind, k)
