@@ -34,10 +34,8 @@ def _region_indices(mesh: MeshHierarchy, region):
     return np.asarray(region, dtype=np.int64)
 
 
-def _scatter(mesh, elems, local, scale):
-    """Sum scale[e] * local over the given elements into a sparse matrix."""
-    verts = mesh.fine.elements[elems]
-    n = mesh.fine.num_nodes
+def _scatter(verts, n, local, scale):
+    """Sum scale[e] * local over elements with vertex rows ``verts`` into an n x n CSR."""
     rows = np.repeat(verts, 3, axis=1).ravel()
     cols = np.tile(verts, (1, 3)).ravel()
     vals = (scale[:, None, None] * local[None, :, :]).ravel()
@@ -48,7 +46,19 @@ def assemble_stiffness(mesh: MeshHierarchy, coef=None, region=None):
     """A-weighted stiffness over the region (whole mesh by default)."""
     elems = _region_indices(mesh, region)
     a = np.ones(len(elems)) if coef is None else coef.values()[elems]
-    return _scatter(mesh, elems, STIFFNESS_LOCAL, a)
+    return _scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, STIFFNESS_LOCAL, a)
+
+
+def local_stiffness(mesh: MeshHierarchy, coef, elems):
+    """A-weighted stiffness over fine elements ``elems`` on the nodes they touch.
+
+    Returns (nodes, K): ascending fine node indices and K in that local
+    numbering.  The numbering is monotone, so K holds exactly the
+    values of the nonzero block of ``assemble_stiffness(mesh, coef, elems)``.
+    """
+    nodes, local = np.unique(mesh.fine.elements[elems], return_inverse=True)
+    a = coef.values()[elems]
+    return nodes, _scatter(local.reshape(-1, 3), len(nodes), STIFFNESS_LOCAL, a)
 
 
 def assemble_mass(mesh: MeshHierarchy, region=None, weight=None):
@@ -56,7 +66,7 @@ def assemble_mass(mesh: MeshHierarchy, region=None, weight=None):
     elems = _region_indices(mesh, region)
     area = mesh.h**2 / 2.0
     w = np.full(len(elems), area) if weight is None else weight.values()[elems] * area
-    return _scatter(mesh, elems, MASS_LOCAL_UNIT_AREA, w)
+    return _scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, MASS_LOCAL_UNIT_AREA, w)
 
 
 def assemble_mixed_mass(mesh: MeshHierarchy, region, coarse_support=None, weight=None):
@@ -189,31 +199,61 @@ def solve_spd(K, b, constrained_dofs=()):
 
 
 def _row_normalized(C):
-    """C with unit-norm rows, and the row norms (zero rows keep norm 1)."""
+    """CSR C with unit-norm rows, and the row norms (zero rows keep norm 1).
+
+    Each entry is scaled by one multiplication with the reciprocal norm,
+    as the product diag(1 / norms) @ C computes it, and entries that
+    come out zero are dropped, as that product drops them.
+    """
     norms = np.sqrt(np.asarray(C.multiply(C).sum(axis=1)).ravel())
     norms[norms == 0.0] = 1.0
-    return sparse.diags(1.0 / norms) @ C, norms
+    scale = np.repeat(1.0 / norms, np.diff(C.indptr))
+    Cn = sparse.csr_matrix((C.data * scale, C.indices, C.indptr), shape=C.shape)
+    Cn.eliminate_zeros()
+    return Cn, norms
+
+
+def _kkt_matrix(K, C):
+    """CSC of the block matrix [[K, C^T], [C, 0]], as ``sparse.bmat`` stores it.
+
+    Column j < n holds K's column j over C's column j (row indices
+    shifted by n); column n + i holds row i of C.  Explicit zeros stay
+    stored, so for K and C in canonical form SuperLU sees the matrix
+    bmat would build, entry for entry.
+    """
+    n, m = K.shape[0], C.shape[0]
+    Kc, Cc, Cr = K.tocsc(), C.tocsc(), C.tocsr()
+    nk, nc = Kc.nnz, Cc.nnz
+    # each K entry moves down by the C entries of the columns before its own,
+    # each C entry by the K entries up to and including its own column
+    kpos = np.arange(nk) + np.repeat(Cc.indptr[:-1], np.diff(Kc.indptr))
+    cpos = np.arange(nc) + np.repeat(Kc.indptr[1:], np.diff(Cc.indptr))
+    indices = np.empty(nk + 2 * nc, dtype=np.int32)
+    data = np.empty(nk + 2 * nc)
+    indices[kpos], data[kpos] = Kc.indices, Kc.data
+    indices[cpos], data[cpos] = Cc.indices + n, Cc.data
+    indices[nk + nc :], data[nk + nc :] = Cr.indices, Cr.data
+    indptr = np.concatenate([Kc.indptr + Cc.indptr, nk + nc + Cr.indptr[1:]])
+    return sparse.csc_matrix((data, indices, indptr), shape=(n + m, n + m))
 
 
 def independent_constraint_rows(C):
-    """Indices of a maximal independent row subset of C.
+    """Indices of a maximal independent row subset of C, whose rows have unit norm.
 
-    The rank comes from the eigenvalues of the Gram matrix of the
-    normalized rows; only a rank-deficient C pays for the pivoted QR
-    that picks the rows.
+    The rank comes from the eigenvalues of the Gram matrix of the rows;
+    only a rank-deficient C pays for the pivoted QR that picks the rows.
     """
     m = C.shape[0]
     if m == 0:
         return np.arange(0)
-    Cn, _ = _row_normalized(C.tocsr())
-    S = (Cn @ Cn.T).toarray()
+    S = (C @ C.T).toarray()
     eig = np.linalg.eigvalsh(S)
     rank = int((eig > m * np.finfo(float).eps * max(eig[-1], 1.0)).sum())
     if rank == m:
         return np.arange(m)
     from scipy.linalg import qr as dense_qr
 
-    _, _, piv = dense_qr(Cn.toarray().T, mode="economic", pivoting=True)
+    _, _, piv = dense_qr(C.toarray().T, mode="economic", pivoting=True)
     return np.sort(piv[:rank])
 
 
@@ -233,14 +273,21 @@ class SaddleSystem:
         C = sparse.csr_matrix((0, self.n)) if C is None else C.tocsr()
         self.num_rows = C.shape[0]
         nonzero = np.flatnonzero(np.diff(C.indptr) > 0)
-        kept = independent_constraint_rows(C[nonzero])
+        if len(nonzero) < self.num_rows:
+            C = C[nonzero]
+        # normalizing a row does not depend on the other rows, so the kept
+        # rows of the normalized C are the normalized kept rows
+        self.C, self.norms = _row_normalized(C)
+        kept = independent_constraint_rows(self.C)
         self.rows = nonzero[kept]
-        self.dropped_rows = np.setdiff1d(nonzero, self.rows)
-        self.C, self.norms = _row_normalized(C[self.rows])
+        dropped = np.ones(len(nonzero), dtype=bool)
+        dropped[kept] = False
+        self.dropped_rows = nonzero[dropped]
+        if len(kept) < len(nonzero):
+            self.C, self.norms = self.C[kept], self.norms[kept]
         self.m = len(self.rows)
-        kkt = sparse.bmat([[self.K, self.C.T], [self.C, None]], format="csc")
         try:
-            self.lu = spla.splu(kkt)
+            self.lu = spla.splu(_kkt_matrix(self.K, self.C))
         except RuntimeError as exc:
             raise SolverError(f"KKT factorization failed: {exc}") from exc
 

@@ -11,6 +11,7 @@ solution exactly (up to solver tolerance).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
     energy_norm,
+    local_stiffness,
     solve_spd,
 )
 from .errors import ParameterError, SolverError
@@ -60,35 +62,66 @@ def _patch_free_dofs(ctx: BilinearFormContext, patch: ElementSet):
     indptr, _ = mesh.fine.node_to_elements
     total_count = np.diff(indptr)
     free = (inside_count == total_count) & (inside_count > 0)
-    free &= ~mesh.constrained_fine_mask
+    free[ctx.constrained_fine] = False
     return np.flatnonzero(free), fine_els
 
 
-def _element_solve(ctx, op, T, k, verts, load=None, reuse=(None, None)):
-    """The patch work of coarse element T in one batched saddle-point solve.
+def _element_dofs(ctx, T, k):
+    """Free fine DOFs of the k-layer patch of coarse element T."""
+    patch = element_patch(ctx.mesh, ElementSet(ctx.mesh.coarse_level, [T]), k)
+    return _patch_free_dofs(ctx, patch)[0]
 
-    Builds the saddle system of T's k-layer patch, or takes ``reuse`` =
-    (dofs, system) of the previous element when its free DOF set is the
-    same.  The corrector right-hand sides of the coarse hats ``verts``
-    come from one product with T's element stiffness; the
-    element-restricted ``load``, when given, is the last column.
-    Returns (dofs, system, U) with one column of U per right-hand side
-    (U is None when there are none).
+
+def _patch_system(ctx, op, dofs):
+    """The local inputs of a patch's SaddleSystem on the free DOFs ``dofs``:
+    the patch stiffness and the operator rows with a stored entry there."""
+    C = op.matrix[:, dofs]
+    return ctx.stiffness[dofs][:, dofs], C[np.flatnonzero(np.diff(C.indptr) > 0)]
+
+
+def _system_digest(K, C):
+    """128-bit content key of a patch system's local inputs (K, C).
+
+    Two patches with equal keys have equal local stiffness and
+    constraint rows, array for array, and so the same factorization.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    for M in (K, C):
+        h.update(f"{M.shape}{M.indptr.dtype}{M.indices.dtype}{M.data.dtype};".encode())
+        for a in (M.indptr, M.indices, M.data):
+            h.update(memoryview(a))  # contiguous arrays, hashed without a copy
+    return h.digest()
+
+
+def _element_solve(ctx, system, T, dofs, verts, load=None):
+    """Solve coarse element T's right-hand sides with its patch system.
+
+    The corrector right-hand sides of the coarse hats ``verts`` come
+    from T's element stiffness, assembled on T's own fine nodes and
+    scattered into the rows of the patch DOFs ``dofs``; ``load``, the
+    element-restricted load on ``dofs``, when given, is the last
+    column.  Returns one solution column per right-hand side.
     """
     mesh = ctx.mesh
-    patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
-    dofs, _ = _patch_free_dofs(ctx, patch)
-    prev_dofs, system = reuse
-    if not np.array_equal(prev_dofs, dofs):
-        system = SaddleSystem(ctx.stiffness[dofs][:, dofs], op.matrix[:, dofs])
     columns = []
     if verts:
-        K_T = assemble_stiffness(mesh, ctx.coef, region=mesh.fine_elements_of_coarse([T]))
-        columns.append((K_T @ mesh.prolongation_matrix[:, verts])[dofs].toarray())
+        nodes, K_T = local_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
+        KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, verts]
+        pos = np.minimum(np.searchsorted(dofs, nodes), len(dofs) - 1)
+        inside = dofs[pos] == nodes
+        block = np.zeros((len(dofs), len(verts)))
+        block[pos[inside]] = KP[inside]
+        columns.append(block)
     if load is not None:
-        columns.append(load[dofs, None])
-    U = system.solve(np.hstack(columns))[0] if columns else None
-    return dofs, system, U
+        columns.append(load[:, None])
+    return system.solve(np.hstack(columns))[0]
+
+
+def _single_element_solve(ctx, op, T, k, verts, load=None):
+    """Factorize T's patch system and solve its right-hand sides: (dofs, U)."""
+    dofs = _element_dofs(ctx, T, _resolve_k(ctx.mesh, k))
+    system = SaddleSystem(*_patch_system(ctx, op, dofs))
+    return dofs, _element_solve(ctx, system, T, dofs, verts, None if load is None else load[dofs])
 
 
 def element_corrector(ctx, op, i, T, k=INFINITE_K):
@@ -104,7 +137,7 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
         raise ParameterError(f"coarse element {T} out of range")
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
-    dofs, _, U = _element_solve(ctx, op, T, _resolve_k(mesh, k), [int(i)])
+    dofs, U = _single_element_solve(ctx, op, T, k, [int(i)])
     out = np.zeros(mesh.fine.num_nodes)
     out[dofs] = U[:, 0]
     return out
@@ -118,64 +151,88 @@ def rhs_corrector(ctx, op, T, k, f_spec):
     load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
     out = np.zeros(mesh.fine.num_nodes)
     if load.any():
-        dofs, _, U = _element_solve(ctx, op, T, k, [], load)
+        dofs, U = _single_element_solve(ctx, op, T, k, [], load)
         out[dofs] = U[:, 0]
     return out
 
 
 @dataclass
 class CorrectorSet:
-    """Per free coarse node corrector vectors, summed over owning elements."""
+    """Per free coarse node corrector vectors, summed over owning elements.
+
+    ``factorizations`` counts the patch systems factorized and
+    ``element_solves`` the coarse elements solved with one of them.
+    """
 
     k: int
     kind: str
     free_nodes: np.ndarray
     matrix: sparse.csr_matrix  # (n_free, n_fine); row i holds Q_k phi_i
+    factorizations: int
+    element_solves: int
 
 
 def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
     """All node correctors (and optionally the summed RHS correction).
 
-    Visits the coarse elements in order.  Each element's patch system
-    is factorized once, or reused from the previous element when the
-    free DOF set is the same, and one batched solve covers the
-    correctors of its (up to three) free vertices and, with
-    ``rhs_correction``, its element-restricted load.
+    Pass 1 visits the coarse elements with work (a free vertex, or a
+    nonzero element load with ``rhs_correction``) and keys each by a
+    digest of its patch system's local inputs.  Pass 2 visits them
+    sorted by (digest, element), factorizes one system per run of equal
+    digests and solves each element's right-hand sides with it.  The
+    solutions are summed in ascending element order, as a one-by-one
+    traversal sums them, so the results do not depend on the grouping.
     """
     mesh = ctx.mesh
     k = _resolve_k(mesh, k)
     free = op.free_nodes
     row_of = {int(z): idx for idx, z in enumerate(free)}
     n_fine = mesh.fine.num_nodes
-    acc_rows, acc_cols, acc_vals = [], [], []
-    u_f = np.zeros(n_fine) if rhs_correction else None
-    dofs = system = None
 
+    work = []  # (digest, T, dofs, free vertices, load on dofs or None)
     for T in range(mesh.coarse.num_elements):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
-        if not verts and not rhs_correction:
-            continue
         load = None
         if rhs_correction:
             load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
-            if not load.any():
-                load = None
-        dofs, system, U = _element_solve(ctx, op, T, k, verts, load, reuse=(dofs, system))
-        for j, v in enumerate(verts):
-            acc_rows.append(np.full(len(dofs), row_of[v]))
-            acc_cols.append(dofs)
-            acc_vals.append(U[:, j].copy())  # a view would keep all of U alive
-        if load is not None:
-            u_f[dofs] += U[:, -1]
+            load = load if load.any() else None
+        if not verts and load is None:
+            continue
+        dofs = _element_dofs(ctx, T, k)
+        digest = _system_digest(*_patch_system(ctx, op, dofs))
+        work.append((digest, T, dofs, verts, None if load is None else load[dofs]))
 
-    if acc_rows:
-        Q = sparse.csr_matrix(
-            (np.concatenate(acc_vals), (np.concatenate(acc_rows), np.concatenate(acc_cols))),
-            shape=(len(free), n_fine),
-        )
-    else:
-        Q = sparse.csr_matrix((len(free), n_fine))
-    return CorrectorSet(k, op.kind, free, Q), u_f
+    # Q's entries go in element order, vertex by vertex, into one block
+    sizes = [len(verts) * len(dofs) for _, _, dofs, verts, _ in work]
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    q_rows = np.empty(offsets[-1], dtype=np.int32)
+    q_cols = np.empty(offsets[-1], dtype=np.int32)
+    q_vals = np.empty(offsets[-1])
+
+    factorizations = 0
+    system = digest_of_system = None
+    for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
+        digest, T, dofs, verts, load = work[idx]
+        if digest != digest_of_system:
+            system = None  # free the previous factorization before the next one
+            system = SaddleSystem(*_patch_system(ctx, op, dofs))
+            digest_of_system = digest
+            factorizations += 1
+        U = _element_solve(ctx, system, T, dofs, verts, load)
+        a, b = offsets[idx], offsets[idx + 1]
+        q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
+        q_cols[a:b] = np.tile(dofs, len(verts))
+        q_vals[a:b] = U[:, : len(verts)].T.ravel()
+        if load is not None:
+            load[:] = U[:, -1]  # the load column now holds its solution
+    system = None  # free the last factorization before Q is assembled
+
+    Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
+    u_f = np.zeros(n_fine) if rhs_correction else None
+    for _, _, dofs, _, u in work:
+        if u is not None:
+            u_f[dofs] += u
+    return CorrectorSet(k, op.kind, free, Q, factorizations, len(work)), u_f
 
 
 @dataclass
@@ -219,6 +276,8 @@ def solve_multiscale(ctx, op, k, f_spec, rhs_correction=True) -> LodSolution:
             "alpha": ctx.coef.alpha,
             "rhs_correction": bool(rhs_correction),
             "f": f_spec.describe(),
+            "factorizations": correctors.factorizations,
+            "element_solves": correctors.element_solves,
         },
     )
 

@@ -9,7 +9,10 @@ from lod2d.assembly import (
     assemble_mass,
     assemble_mixed_mass,
     assemble_stiffness,
+    _kkt_matrix,
+    _row_normalized,
     energy_norm,
+    local_stiffness,
     solve_saddle,
     solve_spd,
 )
@@ -34,6 +37,17 @@ def test_single_element_stiffness(mesh):
     verts = mesh.fine.elements[0]
     local = K[np.ix_(verts, verts)].toarray()
     assert np.array_equal(local, hand_element_stiffness())
+
+
+def test_local_stiffness_is_the_global_block(mesh):
+    coef = gen_random_field(mesh, 1e-2, 3)
+    elems = np.arange(40, 72)
+    nodes, K_local = local_stiffness(mesh, coef, elems)
+    K = assemble_stiffness(mesh, coef, region=elems)
+    assert np.array_equal(nodes, np.unique(mesh.fine.elements[elems]))
+    block = K[nodes][:, nodes]
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(K_local, attr), getattr(block, attr))
 
 
 def test_stiffness_kernel_and_symmetry(mesh):
@@ -164,6 +178,30 @@ def test_galerkin_consistency(mesh):
         lhs = u @ (ctx.stiffness @ w)
         rhs = b @ w
         assert abs(lhs - rhs) <= 1e-9 * (abs(rhs) + np.linalg.norm(w))
+
+
+def test_kkt_pieces_match_scipy_products(mesh):
+    """The row scaling and the KKT block matrix are built directly, entry
+    for entry as diag(1 / norms) @ C and sparse.bmat build them."""
+    coef = gen_random_field(mesh, 1e-3, 4)
+    K = assemble_stiffness(mesh, coef)  # stores explicit zeros on hypotenuses
+    dofs = np.flatnonzero(~mesh.constrained_fine_mask)[:200]
+    K = K[dofs][:, dofs]
+    rng = np.random.default_rng(5)
+    C = sparse.random(12, len(dofs), density=0.05, format="csr", random_state=rng)
+    C = C[np.flatnonzero(np.diff(C.indptr) > 0)]
+    assert (K.data == 0.0).any()
+
+    Cn, norms = _row_normalized(C)
+    reference = sparse.diags(1.0 / norms) @ C
+    reference.sort_indices()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(Cn, attr), getattr(reference, attr))
+
+    kkt = _kkt_matrix(K, Cn)
+    reference = sparse.bmat([[K, Cn.T], [Cn, None]], format="csc")
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(kkt, attr), getattr(reference, attr))
 
 
 def test_saddle_mean_zero_projection():

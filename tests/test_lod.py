@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import lod2d.lod as lod
 from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
 from lod2d.interp import build_operator
@@ -115,6 +118,53 @@ def test_rhs_corrector_skips_zero_load(small, monkeypatch):
     out = rhs_corrector(ctx, op, T_near, 2, f)
     assert np.abs(out).max() > 0.0
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def stripes_l3():
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 1e-3)
+    return mesh, coef, BilinearFormContext(mesh, coef)
+
+
+@pytest.mark.parametrize("kind,k", [("IH", 1), ("IH", 2), ("SZ", 1), ("SZ", 2)])
+def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
+    """Sharing one factorization among patches with equal local systems
+    changes no bit of the correctors or of the RHS correction."""
+    mesh, coef, ctx = stripes_l3
+    op = build_operator(kind, mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    grouped, u_grouped = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
+    assert grouped.factorizations < grouped.element_solves
+
+    unique = itertools.count()
+    monkeypatch.setattr(lod, "_system_digest", lambda K, C: next(unique).to_bytes(8, "big"))
+    single, u_single = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
+    assert single.factorizations == single.element_solves == grouped.element_solves
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(grouped.matrix, attr), getattr(single.matrix, attr))
+    assert np.array_equal(u_grouped, u_single)
+
+
+def test_factorization_counters(small, stripes_l3, monkeypatch):
+    mesh, coef, ctx = stripes_l3
+    op = build_operator("IH", mesh, coef)
+    f = LoadSpec.constant(1.0)
+    digests = []
+    digest = lod._system_digest
+
+    def recording(K, C):
+        digests.append(digest(K, C))
+        return digests[-1]
+
+    monkeypatch.setattr(lod, "_system_digest", recording)
+    correctors, _ = compute_correctors(ctx, op, 1, f_spec=f, rhs_correction=True)
+    assert correctors.element_solves == len(digests) == mesh.coarse.num_elements
+    assert correctors.factorizations == len(set(digests)) < mesh.coarse.num_elements
+
+    _, _, ctx_balls, op_balls = small
+    sol = solve_multiscale(ctx_balls, op_balls, 1, f)
+    assert sol.metadata["factorizations"] == sol.metadata["element_solves"] > 0
 
 
 def test_rhs_support_element_count():
