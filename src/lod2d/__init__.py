@@ -51,7 +51,6 @@ from .mesh import (
     build_hierarchy,
     element_patch,
     node_patch,
-    prolongation,
     scaled_node_patch,
 )
 

@@ -69,19 +69,6 @@ def assemble_mass(mesh: MeshHierarchy, region=None, weight=None):
     return _scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, MASS_LOCAL_UNIT_AREA, w)
 
 
-def assemble_mixed_mass(mesh: MeshHierarchy, region, coarse_support=None, weight=None):
-    """Coarse-hat x fine-hat mass over a fine element set.
-
-    Exact because coarse hats lie in the fine space: the returned matrix
-    is P^T M_h restricted to the requested coarse rows.
-    """
-    M = assemble_mass(mesh, region=region, weight=weight)
-    rows = mesh.prolongation_matrix.T @ M
-    if coarse_support is not None:
-        rows = rows[np.asarray(coarse_support, dtype=np.int64)]
-    return rows.tocsr()
-
-
 @dataclass(frozen=True)
 class LoadSpec:
     """Right-hand side: a constant, a lattice-aligned box indicator, or a fine hat."""

@@ -34,14 +34,19 @@ class Coefficient:
     kind: str = "custom"
     seed: int | None = None
     params: tuple = ()
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         object.__setattr__(self, "is_one", np.asarray(self.is_one, dtype=bool))
+        values = np.where(self.is_one, 1.0, self.alpha)
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
 
     def values(self):
-        return np.where(self.is_one, 1.0, self.alpha)
+        """Per-fine-element values, one read-only array shared by all calls."""
+        return self._values
 
     @property
     def contrast(self):

@@ -1,14 +1,18 @@
 """Quasi-interpolation operators as sparse fine-to-coarse maps.
 
-Six operator kinds are available.  Four are dual-basis constructions
-that differ only in the integration domain sigma of each node variable:
-``SZ`` uses the full node patch, ``IH`` and ``IH1`` pick sigma from the
-coefficient geometry (a connected subset of the value-1 region for
-class I nodes, a delta-scaled node patch for class II nodes, with
-delta = 1/4 and 1 respectively), and ``nodal`` degenerates to point
-evaluation.  ``Aproj`` evaluates the coefficient-weighted local L2
-projection onto the coarse space at the node, and ``AprojQM`` restricts
-that projection to a quasi-monotone subregion of the patch.
+Six operator kinds are available.  Five are one dual-basis
+construction: the node variable of z integrates against the
+(weighted) L2(sigma)-dual of z's coarse hat, and the kinds differ only
+in the pair (sigma, weight).  ``SZ`` takes the full node patch and no
+weight; ``IH`` and ``IH1`` pick sigma from the coefficient geometry (a
+connected subset of the value-1 region for class I nodes, a
+delta-scaled node patch for class II nodes, with delta = 1/4 and 1
+respectively) and no weight; ``Aproj`` takes the full node patch
+weighted by the coefficient, which evaluates the coefficient-weighted
+local L2 projection at the node, and ``AprojQM`` a quasi-monotone
+subregion of the patch with the same weight.  ``nodal`` is point
+evaluation.  The stability constant kappa is defined only for the
+unweighted dual; weighted node variables carry NaN.
 """
 
 from __future__ import annotations
@@ -26,20 +30,21 @@ from .errors import DegenerateSigmaError, ParameterError
 from .mesh import ElementSet, MeshHierarchy, node_patch, scaled_node_patch
 
 OPERATOR_KINDS = ("SZ", "nodal", "IH", "IH1", "Aproj", "AprojQM")
-DUAL_BASIS_KINDS = ("SZ", "IH", "IH1")
+DUAL_BASIS_KINDS = ("SZ", "IH", "IH1")  # the unweighted duals: kappa is defined
 CONDITION_LIMIT = 1e14
 
 
 @dataclass
 class NodeVariable:
-    """One coarse node's integration domain, dual weights and stability constant."""
+    """One coarse node's integration domain, dual weights, stability constant and row."""
 
     node: int
     cls: str  # "I", "II" or "plain"
     sigma: ElementSet
     support_nodes: np.ndarray  # coarse nodes whose hats meet sigma, own node first
     xi: np.ndarray
-    kappa: float
+    kappa: float  # NaN for the coefficient-weighted duals
+    row: sparse.csr_matrix  # 1 x fine nodes: v -> int_sigma w psi v, this node's row of R
 
 
 @dataclass
@@ -56,11 +61,10 @@ class InterpOperator:
         return self.matrix @ v
 
 
-def _coarse_gram(mesh, sigma_indices, own_node, weight=None):
-    """Gram matrix of the coarse hats with positive (weighted) mass on sigma."""
-    M_fine = assemble_mass(mesh, region=sigma_indices, weight=weight)
+def _coarse_gram(mesh, mass, own_node):
+    """Gram matrix P^T M P of the coarse hats with positive mass in M, own node first."""
     P = mesh.prolongation_matrix
-    Mc = (P.T @ (M_fine @ P)).tocsr()
+    Mc = (P.T @ (mass @ P)).tocsr()
     diag = Mc.diagonal()
     support = np.flatnonzero(diag > 0.0)
     if own_node not in support:
@@ -72,30 +76,32 @@ def _coarse_gram(mesh, sigma_indices, own_node, weight=None):
     return order.astype(np.int64), M
 
 
-def _solve_dual(M, what):
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateSigmaError(
-            f"{what}: dual system condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
-        )
-    e1 = np.zeros(M.shape[0])
-    e1[0] = 1.0
-    return np.linalg.solve(M, e1)
-
-
-def dual_basis(mesh: MeshHierarchy, sigma, own_node):
-    """L2(sigma)-dual weights of the own node's hat against all hats meeting sigma.
+def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
+    """(Weighted) L2(sigma)-dual of the own node's hat against all hats meeting sigma.
 
     Solves M xi = e_1 with M the Gram matrix of the coarse hats on
     sigma, own node ordered first; then psi = sum_k xi_k phi_k satisfies
-    int_sigma psi phi_j = delta_1j.
+    int_sigma w psi phi_j = delta_1j.  Returns (support, xi, row) with
+    row = M_sigma (P psi), the node variable as a fine-node functional:
+    row @ v = int_sigma w psi v.  The Gram matrix P^T M_sigma P and the
+    row come from the one assembled (weighted) sigma mass matrix M_sigma.
     """
     idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
     if len(idx) == 0:
         raise DegenerateSigmaError("integration domain is empty")
-    support, M = _coarse_gram(mesh, idx, own_node)
-    xi = _solve_dual(M, f"node {own_node}")
-    return support, xi
+    mass = assemble_mass(mesh, region=idx, weight=weight)
+    support, M = _coarse_gram(mesh, mass, own_node)
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateSigmaError(
+            f"node {own_node}: dual system condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
+        )
+    e1 = np.zeros(len(support))
+    e1[0] = 1.0
+    xi = np.linalg.solve(M, e1)
+    w = np.zeros(mesh.coarse.num_nodes)
+    w[support] = xi
+    return support, xi, mass @ (mesh.prolongation_matrix @ w)
 
 
 def kappa(mesh: MeshHierarchy, sigma, own_node):
@@ -103,9 +109,11 @@ def kappa(mesh: MeshHierarchy, sigma, own_node):
     return _dual_node_variable(mesh, own_node, "plain", sigma).kappa
 
 
-def _dual_node_variable(mesh, z, cls, sigma):
-    support, xi = dual_basis(mesh, sigma, z)
-    return NodeVariable(int(z), cls, sigma, support, xi, float(np.sqrt(mesh.H**2 * xi[0])))
+def _dual_node_variable(mesh, z, cls, sigma, weight=None):
+    """The node variable of z on sigma, with its fine row; kappa only without weight."""
+    support, xi, row = dual_basis(mesh, sigma, z, weight)
+    k = float(np.sqrt(mesh.H**2 * xi[0])) if weight is None else float("nan")
+    return NodeVariable(int(z), cls, sigma, support, xi, k, sparse.csr_matrix(row))
 
 
 def _incident_fine_elements(mesh, z):
@@ -187,21 +195,6 @@ def is_quasi_monotone(mesh: MeshHierarchy, coef: Coefficient, region, z) -> bool
     return bool(reached[idx].all())
 
 
-def _dual_basis_rows(mesh, nodevars, weight=None):
-    rows, cols, vals = [], [], []
-    P = mesh.prolongation_matrix
-    for row_idx, nv in enumerate(nodevars):
-        M_fine = assemble_mass(mesh, region=nv.sigma.indices, weight=weight)
-        w = np.zeros(mesh.coarse.num_nodes)
-        w[nv.support_nodes] = nv.xi
-        row = M_fine @ (P @ w)
-        nz = np.flatnonzero(row)
-        rows.append(np.full(len(nz), row_idx))
-        cols.append(nz)
-        vals.append(row[nz])
-    return rows, cols, vals
-
-
 def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> InterpOperator:
     """Construct one of the six operators as a sparse fine-to-coarse map.
 
@@ -212,13 +205,12 @@ def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> 
     if kind not in OPERATOR_KINDS:
         raise ParameterError(f"unknown operator kind {kind!r}; choose from {OPERATOR_KINDS}")
     free = mesh.free_coarse_nodes
-    n_fine = mesh.fine.num_nodes
 
     if kind == "nodal":
         rows = np.arange(len(free))
         cols = np.array([mesh.coarse_node_to_fine(z) for z in free])
         R = sparse.csr_matrix(
-            (np.ones(len(free)), (rows, cols)), shape=(len(free), n_fine)
+            (np.ones(len(free)), (rows, cols)), shape=(len(free), mesh.fine.num_nodes)
         )
         return InterpOperator(kind, R, free)
 
@@ -228,33 +220,21 @@ def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> 
         delta = Fraction(1, 4)
     elif kind != "IH":
         delta = None
-    weight = None
-    if kind == "SZ":
-        nodevars = [
-            _dual_node_variable(mesh, z, "plain", mesh.fine_set(node_patch(mesh, z)))
-            for z in free
-        ]
-    elif kind in ("IH", "IH1"):
-        nodevars = classify_nodes_ih(mesh, coef, delta)
-    else:  # Aproj / AprojQM: coefficient-weighted local projections
-        weight = coef
-        nodevars = []
-        for z in free:
-            if kind == "Aproj":
-                region = mesh.fine_set(node_patch(mesh, z))
-            else:
-                region = quasi_monotone_region(mesh, coef, z)
-            support, G = _coarse_gram(mesh, region.indices, z, weight=coef)
-            xi = _solve_dual(G, f"node {z} ({kind})")
-            nodevars.append(
-                NodeVariable(int(z), "plain", region, support, xi, float("nan"))
-            )
-    rows, cols, vals = _dual_basis_rows(mesh, nodevars, weight)
-
-    R = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(free), n_fine),
-    )
+    try:
+        if kind in ("IH", "IH1"):
+            nodevars = classify_nodes_ih(mesh, coef, delta)
+        else:
+            weight = None if kind == "SZ" else coef
+            nodevars = []
+            for z in free:
+                if kind == "AprojQM":
+                    sigma = quasi_monotone_region(mesh, coef, z)
+                else:
+                    sigma = mesh.fine_set(node_patch(mesh, z))
+                nodevars.append(_dual_node_variable(mesh, z, "plain", sigma, weight))
+    except DegenerateSigmaError as exc:
+        raise DegenerateSigmaError(f"{kind}: {exc}") from exc
+    R = sparse.vstack([nv.row for nv in nodevars], format="csr")
     return InterpOperator(kind, R, free, node_variables=nodevars, delta=delta)
 
 

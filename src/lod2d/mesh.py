@@ -425,7 +425,3 @@ def scaled_node_patch(mesh: MeshHierarchy, z, delta) -> ElementSet:
     elems.append(2 * cell[up_ok] + 1)
     return ElementSet(mesh.fine_level, np.concatenate(elems))
 
-
-def prolongation(mesh: MeshHierarchy):
-    """Sparse map from coarse nodal values to fine nodal values (exact on S_H)."""
-    return mesh.prolongation_matrix

@@ -98,6 +98,16 @@ def test_alpha_one_collapses_values(mesh36):
     assert coef.is_one.sum() > 0  # geometry still recorded
 
 
+def test_values_is_one_read_only_array(mesh36):
+    coef = gen_random_balls(mesh36, 0.01, 7)
+    first = coef.values()
+    assert coef.values() is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, np.where(coef.is_one, 1.0, coef.alpha))
+    with pytest.raises(ValueError):
+        first[0] = 2.0
+
+
 def test_alpha_validation(mesh36):
     with pytest.raises(ParameterError):
         Coefficient(0.0, np.zeros(mesh36.fine.num_elements, bool))

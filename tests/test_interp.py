@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import lod2d.interp as interp
 from lod2d.assembly import assemble_mass
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
 from lod2d.errors import DegenerateSigmaError, ParameterError
@@ -69,7 +70,7 @@ def test_dual_weight_scaling_full_element(mesh17):
     # H^2 * xi_1 = 18 independent of H
     sigma = ElementSet(7, mesh17.fine_elements_of_coarse([0]))
     own = mesh17.coarse.node_index(0, 0)
-    _, xi = dual_basis(mesh17, sigma, own)
+    _, xi, _ = dual_basis(mesh17, sigma, own)
     assert mesh17.H**2 * xi[0] == pytest.approx(18.0, rel=1e-12)
 
 
@@ -84,7 +85,7 @@ def test_kappa_scaled_corner_triangle(mesh17, frac):
 def test_kappa_corner_quarter_dual_weight(mesh17):
     sigma = corner_triangle_sigma(mesh17, 0, Fraction(1, 4))
     own = mesh17.coarse.node_index(0, 0)
-    _, xi = dual_basis(mesh17, sigma, own)
+    _, xi, _ = dual_basis(mesh17, sigma, own)
     assert mesh17.H**2 * xi[0] == pytest.approx(288.0, rel=1e-10)
 
 
@@ -100,7 +101,7 @@ def test_kappa_edge_strip(mesh17):
 def kappa_from_determinants(mesh, sigma, own_node):
     """kappa from the Gram determinant ratio, an evaluation path independent of the solve."""
     idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
-    _, M = _coarse_gram(mesh, idx, own_node)
+    _, M = _coarse_gram(mesh, assemble_mass(mesh, region=idx), own_node)
     sign, logdet = np.linalg.slogdet(M)
     sign11, logdet11 = np.linalg.slogdet(M[1:, 1:]) if M.shape[0] > 1 else (1.0, 0.0)
     assert sign > 0 and sign11 > 0, "Gram determinant not positive"
@@ -139,7 +140,7 @@ def test_kappa_extension_monotonicity(mesh36):
 def test_dual_basis_duality_on_node_patch(mesh36):
     z = mesh36.coarse.node_index(4, 3)
     sigma = mesh36.fine_set(node_patch(mesh36, z))
-    support, xi = dual_basis(mesh36, sigma, z)
+    support, xi, _ = dual_basis(mesh36, sigma, z)
     # N(phi_own) = 1, N(phi_neighbor) = 0: integrate psi against each hat
     P = mesh36.prolongation_matrix
     M = assemble_mass(mesh36, region=sigma.indices)
@@ -253,6 +254,41 @@ def test_operator_projection_property(mesh36):
         assert np.abs(RP - np.eye(len(free))).max() < 1e-10
         c = rng.standard_normal(len(free))
         assert np.abs(op.apply(P[:, free] @ c) - c).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", ["stripes", "balls"])
+def test_dual_rows_come_from_one_sigma_mass(monkeypatch, family):
+    """Each row of R is M_sigma P w of its node variable, from one mass matrix per node."""
+    mesh = build_hierarchy(2, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 0.01) if family == "stripes" else gen_random_balls(mesh, 0.01, 3)
+    P = mesh.prolongation_matrix
+    calls = []
+
+    def counting_mass(*args, **kwargs):
+        calls.append(1)
+        return assemble_mass(*args, **kwargs)
+
+    for kind in ("SZ", "IH", "IH1", "Aproj", "AprojQM"):
+        weight = coef if kind in ("Aproj", "AprojQM") else None
+        with monkeypatch.context() as m:
+            m.setattr(interp, "assemble_mass", counting_mass)
+            calls.clear()
+            op = build_operator(kind, mesh, coef)
+            assert len(calls) == len(op.node_variables) == len(op.free_nodes), kind
+        for i, nv in enumerate(op.node_variables):
+            w = np.zeros(mesh.coarse.num_nodes)
+            w[nv.support_nodes] = nv.xi
+            want = assemble_mass(mesh, region=nv.sigma.indices, weight=weight) @ (P @ w)
+            assert np.array_equal(op.matrix.getrow(i).toarray().ravel(), want), (kind, i)
+            assert np.isnan(nv.kappa) == (weight is not None), (kind, i)
+
+
+def test_dual_system_error_names_node_and_kind(monkeypatch, mesh36):
+    monkeypatch.setattr(interp, "CONDITION_LIMIT", 1.0)
+    coef = gen_stripes(mesh36, 0.01)
+    for kind in ("SZ", "IH", "IH1", "Aproj", "AprojQM"):
+        with pytest.raises(DegenerateSigmaError, match=rf"^{kind}: node \d+: dual system"):
+            build_operator(kind, mesh36, coef)
 
 
 def test_unknown_operator_kind(mesh36):

@@ -9,7 +9,6 @@ from lod2d.mesh import (
     build_hierarchy,
     element_patch,
     node_patch,
-    prolongation,
     scaled_node_patch,
 )
 
@@ -166,7 +165,7 @@ def test_scaled_node_patch_rejects_unrepresentable(mesh46):
 
 
 def test_prolongation_center_hat(mesh12):
-    P = prolongation(mesh12)
+    P = mesh12.prolongation_matrix
     center = mesh12.coarse.node_index(1, 1)
     vec = P[:, center].toarray().ravel()
     expected = np.zeros(25)
@@ -178,7 +177,7 @@ def test_prolongation_center_hat(mesh12):
 
 
 def test_prolongation_partition_of_unity(mesh46):
-    P = prolongation(mesh46)
+    P = mesh46.prolongation_matrix
     ones = P @ np.ones(mesh46.coarse.num_nodes)
     assert np.abs(ones - 1.0).max() == 0.0
 
@@ -187,7 +186,7 @@ def test_prolongation_reproduces_coarse_functions(mesh35):
     """Oracle: evaluate the coarse piecewise-linear function directly at fine nodes."""
     rng = np.random.default_rng(7)
     c = rng.standard_normal(mesh35.coarse.num_nodes)
-    P = prolongation(mesh35)
+    P = mesh35.prolongation_matrix
     vals = P @ c
     r = mesh35.ratio
     nc = mesh35.coarse.n
