@@ -31,7 +31,6 @@ from .interp import (
     classify_nodes_ih,
     coverage_report,
     dual_basis,
-    is_quasi_monotone,
     kappa,
     quasi_monotone_region,
 )

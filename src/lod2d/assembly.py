@@ -84,13 +84,14 @@ class LoadSpec:
 
     @classmethod
     def rectangle(cls, x0, x1, y0, y1):
+        rect = _finite_coords("rectangle", x0, x1, y0, y1)
         if not (x0 < x1 and y0 < y1):
             raise ParameterError("rectangle must have positive extent")
-        return cls("rect", rect=(float(x0), float(x1), float(y0), float(y1)))
+        return cls("rect", rect=rect)
 
     @classmethod
     def hat(cls, x, y):
-        return cls("hat", point=(float(x), float(y)))
+        return cls("hat", point=_finite_coords("hat point", x, y))
 
     def describe(self):
         if self.kind == "const":
@@ -98,6 +99,13 @@ class LoadSpec:
         if self.kind == "rect":
             return "rect:" + ",".join(f"{v:g}" for v in self.rect)
         return "hat:" + ",".join(f"{v:g}" for v in self.point)
+
+
+def _finite_coords(what, *values):
+    coords = tuple(float(v) for v in values)
+    if not np.isfinite(coords).all():
+        raise ParameterError(f"{what} coordinates must be finite, got {coords}")
+    return coords
 
 
 def _lattice_coord(value, n, what):

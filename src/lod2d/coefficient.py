@@ -60,11 +60,10 @@ class ComponentLabeling:
     labels: np.ndarray  # -1 for elements outside the queried flag set
     count: int
 
-    def component_elements(self, label):
-        return np.flatnonzero(self.labels == label)
-
 
 def _rng(seed):
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

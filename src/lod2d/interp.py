@@ -182,19 +182,6 @@ def quasi_monotone_region(mesh: MeshHierarchy, coef: Coefficient, z) -> ElementS
     return ElementSet(mesh.fine_level, np.flatnonzero(reached))
 
 
-def is_quasi_monotone(mesh: MeshHierarchy, coef: Coefficient, region, z) -> bool:
-    """True iff every region element reaches a z-incident one along a path
-    (inside the region) with nondecreasing coefficient."""
-    idx = region.indices if isinstance(region, ElementSet) else np.asarray(region)
-    if len(idx) == 0:
-        return True
-    in_region = np.zeros(mesh.fine.num_elements, dtype=bool)
-    in_region[idx] = True
-    # reverse traversal of a nondecreasing path toward z
-    reached = _reachable(mesh, in_region, _incident_fine_elements(mesh, z), coef.values())
-    return bool(reached[idx].all())
-
-
 def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> InterpOperator:
     """Construct one of the six operators as a sparse fine-to-coarse map.
 
@@ -260,11 +247,7 @@ def coverage_report(mesh: MeshHierarchy, coef: Coefficient, nodevars) -> Coverag
     else:
         frac = float((covered & coef.is_one).sum()) / float(coef.is_one.sum())
         labeling = connected_components(mesh, coef, True)
-        uncovered = 0
-        for label in range(labeling.count):
-            members = labeling.component_elements(label)
-            if not covered[members].any():
-                uncovered += 1
+        uncovered = labeling.count - len(np.unique(labeling.labels[covered & coef.is_one]))
     max_kappa = {}
     for nv in nodevars:
         if np.isfinite(nv.kappa):

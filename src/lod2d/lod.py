@@ -312,16 +312,3 @@ def decay_profile(ctx, corrector, T, k_max):
         K_out = assemble_stiffness(mesh, ctx.coef, region=region)
         out.append((k, energy_norm(K_out, corrector)))
     return out
-
-
-def fit_log10_slope(ks, values, floor=0.0):
-    """Least-squares slope of log10(values) against k, ignoring entries <= floor."""
-    ks = np.asarray(ks, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > floor
-    if keep.sum() < 2:
-        return float("nan")
-    k_fit, v_fit = ks[keep], np.log10(values[keep])
-    A = np.column_stack([k_fit, np.ones_like(k_fit)])
-    slope, _ = np.linalg.lstsq(A, v_fit, rcond=None)[0]
-    return float(slope)

@@ -4,9 +4,16 @@ Every level ``lev`` splits [0,1]^2 into a 2^lev x 2^lev grid of square
 cells, each cut along its NW-SE diagonal into two right triangles.  Nodes
 are indexed row-major from the bottom-left corner, elements by
 (row, column, triangle-within-cell) with triangle 0 the lower-left one.
-Refining a cell by bisecting its edges reproduces the same pattern, so a
+Refining a cell by bisecting its edges reproduces the same pattern, so
 levels are perfectly nested and every coarse node coincides with a fine
 node.
+
+Patch geometry uses the lattice distance of this one triangulation
+family: node steps (di, dj) are max(|di|, |dj|, |di + dj|) apart
+(``_hex_norm``), since the NW-SE diagonals join (i, j) to (i + 1, j - 1).
+The node patch of z is the unit hexagon of this distance around z,
+clipped to the square; k-layer element patches and delta-scaled node
+patches are its balls.
 """
 
 from __future__ import annotations
@@ -69,24 +76,6 @@ class ElementSet:
 
     def __len__(self):
         return len(self.indices)
-
-    def _check_level(self, other):
-        if self.level != other.level:
-            raise ParameterError(
-                f"element sets live on different levels ({self.level} vs {other.level})"
-            )
-
-    def union(self, other):
-        self._check_level(other)
-        return ElementSet(self.level, np.union1d(self.indices, other.indices))
-
-    def intersection(self, other):
-        self._check_level(other)
-        return ElementSet(self.level, np.intersect1d(self.indices, other.indices))
-
-    def contains(self, other):
-        self._check_level(other)
-        return np.isin(other.indices, self.indices).all()
 
     def mask(self, num_elements):
         m = np.zeros(num_elements, dtype=bool)
@@ -152,29 +141,18 @@ class _Level:
         if self._edge_neighbors is None:
             n = self.n
             e = np.arange(self.num_elements, dtype=np.int64)
-            t = e & 1
-            cell = e >> 1
-            ci, cj = cell % n, cell // n
-            nb = np.full((self.num_elements, 3), -1, dtype=np.int64)
-            # diagonal: the other triangle of the same cell
-            nb[:, 0] = e ^ 1
-            low = t == 0
-            # lower: left edge -> upper of cell (ci-1, cj); bottom -> upper of (ci, cj-1)
-            li, lj = ci[low] - 1, cj[low]
-            ok = li >= 0
-            nb[np.flatnonzero(low)[ok], 1] = 2 * (lj[ok] * n + li[ok]) + 1
-            bi, bj = ci[low], cj[low] - 1
-            ok = bj >= 0
-            nb[np.flatnonzero(low)[ok], 2] = 2 * (bj[ok] * n + bi[ok]) + 1
-            up = ~low
-            # upper: right edge -> lower of (ci+1, cj); top -> lower of (ci, cj+1)
-            ri, rj = ci[up] + 1, cj[up]
-            ok = ri < n
-            nb[np.flatnonzero(up)[ok], 1] = 2 * (rj[ok] * n + ri[ok])
-            ti, tj = ci[up], cj[up] + 1
-            ok = tj < n
-            nb[np.flatnonzero(up)[ok], 2] = 2 * (tj[ok] * n + ti[ok])
-            self._edge_neighbors = nb
+            lower = 1 - (e & 1)
+            ci, cj = (e >> 1) % n, (e >> 1) // n
+            # a lower triangle meets the upper ones left and below, an upper
+            # triangle the lower ones right and above: neighbour 0 shares
+            # the diagonal, 1 the vertical leg, 2 the horizontal leg
+            step = 1 - 2 * lower
+            ni, nj = ci + step, cj + step
+            self._edge_neighbors = np.column_stack([
+                e ^ 1,
+                np.where((ni >= 0) & (ni < n), 2 * (cj * n + ni) + lower, -1),
+                np.where((nj >= 0) & (nj < n), 2 * (nj * n + ci) + lower, -1),
+            ])
         return self._edge_neighbors
 
     def barycenters(self):
@@ -220,10 +198,6 @@ class MeshHierarchy:
     @property
     def free_coarse_nodes(self):
         return np.flatnonzero(~self.constrained_coarse_mask)
-
-    @property
-    def free_fine_nodes(self):
-        return np.flatnonzero(~self.constrained_fine_mask)
 
     def coarse_node_to_fine(self, node):
         """Fine index of the coincident fine node."""
@@ -326,11 +300,19 @@ def build_hierarchy(coarse_level, fine_level, boundary) -> MeshHierarchy:
     return MeshHierarchy(coarse_level, fine_level, boundary)
 
 
+def _hex_norm(di, dj):
+    """Lattice distance of a node step (di, dj): the number of mesh edges walked."""
+    return np.maximum(np.maximum(np.abs(di), np.abs(dj)), np.abs(di + dj))
+
+
 def element_patch(mesh: MeshHierarchy, seed: ElementSet, k) -> ElementSet:
     """k-layer coarse element patch grown by vertex connectivity.
 
-    Layer by layer, adds every coarse element whose closure touches the
-    current set; saturates once the whole mesh is covered.
+    Each layer adds every coarse element whose closure touches the
+    current set.  The elements around a node reach exactly its lattice
+    neighbours and the square is convex in the lattice distance, so for
+    k >= 1 the patch is every element with a vertex within k - 1 steps
+    of a seed vertex (the whole mesh once k is large enough).
     """
     if seed.level != mesh.coarse_level:
         raise ParameterError("patch seed must be a coarse-level element set")
@@ -338,22 +320,15 @@ def element_patch(mesh: MeshHierarchy, seed: ElementSet, k) -> ElementSet:
         raise ParameterError("patch seed must be nonempty")
     if k < 0:
         raise ParameterError("patch layers k must be >= 0")
+    if k == 0:
+        return seed
     lvl = mesh.coarse
-    mask = seed.mask(lvl.num_elements)
-    indptr, elem_of_node = lvl.node_to_elements
-    for _ in range(k):
-        if mask.all():
-            break
-        nodes = np.unique(lvl.elements[mask].ravel())
-        touching = np.unique(
-            np.concatenate([elem_of_node[indptr[v] : indptr[v + 1]] for v in nodes])
-        )
-        new = mask.copy()
-        new[touching] = True
-        if (new == mask).all():
-            break
-        mask = new
-    return ElementSet(mesh.coarse_level, np.flatnonzero(mask))
+    i, j = lvl.node_ij(np.arange(lvl.num_nodes))
+    near = np.zeros(lvl.num_nodes, dtype=bool)
+    for v in np.unique(lvl.elements[seed.indices]):
+        vi, vj = lvl.node_ij(v)
+        near |= _hex_norm(i - vi, j - vj) <= k - 1
+    return ElementSet(mesh.coarse_level, np.flatnonzero(near[lvl.elements].any(axis=1)))
 
 
 def node_patch(mesh: MeshHierarchy, z) -> ElementSet:
@@ -366,10 +341,10 @@ def node_patch(mesh: MeshHierarchy, z) -> ElementSet:
 def scaled_node_patch(mesh: MeshHierarchy, z, delta) -> ElementSet:
     """Fine elements filling the delta-scaled node patch centered at z.
 
-    delta must equal m*h/H for an integer 1 <= m <= H/h so the scaled
-    polygon has vertices on the fine lattice; membership is then decided
-    exactly in integer arithmetic (a fine element lies inside iff all
-    three of its vertices do, the patch being convex).
+    delta must equal m*h/H for an integer 1 <= m <= H/h, so the scaled
+    patch is the hexagon of lattice radius m fine steps around z,
+    clipped to the square.  It is convex, so a fine element lies inside
+    iff its three vertices do; membership is exact integer arithmetic.
     """
     r = mesh.ratio
     m = Fraction(delta) * r
@@ -377,51 +352,20 @@ def scaled_node_patch(mesh: MeshHierarchy, z, delta) -> ElementSet:
         raise ParameterError(
             f"delta={delta} is not representable as m*h/H with 1 <= m <= {r}"
         )
+    if not (0 <= z < mesh.coarse.num_nodes):
+        raise ParameterError(f"coarse node {z} out of range")
     m = int(m)
-    patch = node_patch(mesh, z)
-    zi, zj = mesh.coarse.node_ij(z)
-    zf = np.array([zi * r, zj * r], dtype=np.int64)
-
-    # scaled coarse triangles, vertices on the fine integer lattice
-    tris = []
-    for T in patch.indices:
-        verts = mesh.coarse.elements[T]
-        vi = np.array([mesh.coarse.node_ij(v) for v in verts], dtype=np.int64) * r
-        tris.append(zf + (m * (vi - zf)) // r)
-
-    lo = np.min([t.min(axis=0) for t in tris], axis=0)
-    hi = np.max([t.max(axis=0) for t in tris], axis=0)
+    zi, zj = (r * c for c in mesh.coarse.node_ij(z))
     nf = mesh.fine.n
-    ci = np.arange(max(lo[0], 0), min(hi[0], nf))
-    cj = np.arange(max(lo[1], 0), min(hi[1], nf))
-    if len(ci) == 0 or len(cj) == 0:
-        return ElementSet(mesh.fine_level, np.empty(0, dtype=np.int64))
-    gi, gj = np.meshgrid(ci, cj, indexing="xy")
-    gi, gj = gi.ravel(), gj.ravel()
+    gi, gj = np.meshgrid(np.arange(max(zi - m, 0), min(zi + m, nf)),
+                         np.arange(max(zj - m, 0), min(zj + m, nf)), indexing="xy")
+    di, dj = gi.ravel() - zi, gj.ravel() - zj
 
-    def covered(px, py):
-        inside = np.zeros(px.shape, dtype=bool)
-        for t in tris:
-            a, b, c = t
-            d1 = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
-            d2 = (c[0] - b[0]) * (py - b[1]) - (c[1] - b[1]) * (px - b[0])
-            d3 = (a[0] - c[0]) * (py - c[1]) - (a[1] - c[1]) * (px - c[0])
-            s = np.sign(
-                (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            )
-            inside |= (s * d1 >= 0) & (s * d2 >= 0) & (s * d3 >= 0)
-        return inside
+    def inside(*corners):
+        return np.logical_and.reduce([_hex_norm(di + a, dj + b) <= m for a, b in corners])
 
-    elems = []
     # lower triangle vertices (i,j),(i+1,j),(i,j+1); upper (i+1,j+1),(i,j+1),(i+1,j)
-    low_ok = (
-        covered(gi, gj) & covered(gi + 1, gj) & covered(gi, gj + 1)
-    )
-    up_ok = (
-        covered(gi + 1, gj + 1) & covered(gi, gj + 1) & covered(gi + 1, gj)
-    )
-    cell = gj * nf + gi
-    elems.append(2 * cell[low_ok])
-    elems.append(2 * cell[up_ok] + 1)
-    return ElementSet(mesh.fine_level, np.concatenate(elems))
-
+    cell = (dj + zj) * nf + di + zi
+    low = 2 * cell[inside((0, 0), (1, 0), (0, 1))]
+    up = 2 * cell[inside((1, 1), (0, 1), (1, 0))] + 1
+    return ElementSet(mesh.fine_level, np.concatenate([low, up]))

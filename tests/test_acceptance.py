@@ -20,12 +20,10 @@ from lod2d.harness import ExperimentConfig, run_experiment
 from lod2d.interp import (
     OPERATOR_KINDS,
     build_operator,
-    is_quasi_monotone,
     kappa,
 )
 from lod2d.lod import (
     _patch_free_dofs,
-    fit_log10_slope,
     reference_solution,
     relative_energy_error,
     solve_multiscale,
@@ -37,6 +35,8 @@ from lod2d.mesh import (
     element_patch,
     node_patch,
 )
+from test_interp import is_quasi_monotone
+from test_lod import fit_log10_slope
 
 RECT_LOAD = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
 

@@ -137,6 +137,9 @@ def test_missing_level_key(tmp_path, capsys):
         "non-numeric-csv-field",
         "element-out-of-range",
         "negative-k-max",
+        "negative-field-seed",
+        "infinite-rect-load",
+        "infinite-hat-load",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, case):
@@ -157,6 +160,14 @@ def test_malformed_input_exits_one(tmp_path, capsys, case):
     elif case == "non-numeric-csv-field":
         csv.write_text(header + "IH,0.1,1,0.25,0.0625,x,0,5,ok\n")
         argv = ["plot", str(csv), str(tmp_path / "p_")]
+    elif case == "negative-field-seed":
+        cfg = write_config(tmp_path, "seed = -1\n", base=TINY.replace("seed = 5\n", ""))
+        argv = ["coef", str(cfg), str(tmp_path / "x.pgm")]
+    elif case in ("infinite-rect-load", "infinite-hat-load"):
+        load = "rect:0,1,0,inf" if case == "infinite-rect-load" else "hat:inf,0.5"
+        base = TINY.replace("f = const:1\n", "")
+        cfg = write_config(tmp_path, f"f = {load}\ncsv = {tmp_path}/d.csv\n", base=base)
+        argv = ["run", str(cfg)]
     elif case == "element-out-of-range":
         argv = decay + ["--element", "99999"]
     else:

@@ -13,11 +13,25 @@ from lod2d.interp import (
     classify_nodes_ih,
     coverage_report,
     dual_basis,
-    is_quasi_monotone,
     kappa,
     quasi_monotone_region,
 )
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, node_patch
+
+
+def is_quasi_monotone(mesh, coef, region, z) -> bool:
+    """True iff every region element reaches a z-incident one along a path
+    (inside the region) with nondecreasing coefficient."""
+    idx = region.indices if isinstance(region, ElementSet) else np.asarray(region)
+    if len(idx) == 0:
+        return True
+    in_region = np.zeros(mesh.fine.num_elements, dtype=bool)
+    in_region[idx] = True
+    # reverse traversal of a nondecreasing path toward z
+    incident = interp._incident_fine_elements(mesh, z)
+    reached = interp._reachable(mesh, in_region, incident, coef.values())
+    return bool(reached[idx].all())
+
 
 # frozen from exact symbolic integration of the dual-basis Gram systems
 KAPPA2_STRIP_1_64 = 453.56430164147303

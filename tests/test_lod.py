@@ -11,7 +11,6 @@ from lod2d.lod import (
     compute_correctors,
     decay_profile,
     element_corrector,
-    fit_log10_slope,
     reference_solution,
     relative_energy_error,
     rhs_corrector,
@@ -19,6 +18,20 @@ from lod2d.lod import (
     solve_multiscale,
 )
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, element_patch
+
+
+def fit_log10_slope(ks, values, floor=0.0):
+    """Least-squares slope of log10(values) against k, ignoring entries <= floor."""
+    ks = np.asarray(ks, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > floor
+    if keep.sum() < 2:
+        return float("nan")
+    k_fit, v_fit = ks[keep], np.log10(values[keep])
+    A = np.column_stack([k_fit, np.ones_like(k_fit)])
+    slope, _ = np.linalg.lstsq(A, v_fit, rcond=None)[0]
+    return float(slope)
+
 
 POISSON_SQUARE_PEAK = 0.0736713512666705  # -lap u = 1, zero boundary, u(1/2,1/2)
 
