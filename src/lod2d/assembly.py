@@ -80,18 +80,18 @@ class LoadSpec:
 
     @classmethod
     def constant(cls, value=1.0):
-        return cls("const", value=float(value))
+        return cls("const", value=_finite("constant load", value)[0])
 
     @classmethod
     def rectangle(cls, x0, x1, y0, y1):
-        rect = _finite_coords("rectangle", x0, x1, y0, y1)
+        rect = _finite("rectangle coordinates", x0, x1, y0, y1)
         if not (x0 < x1 and y0 < y1):
             raise ParameterError("rectangle must have positive extent")
         return cls("rect", rect=rect)
 
     @classmethod
     def hat(cls, x, y):
-        return cls("hat", point=_finite_coords("hat point", x, y))
+        return cls("hat", point=_finite("hat point coordinates", x, y))
 
     def describe(self):
         if self.kind == "const":
@@ -101,11 +101,11 @@ class LoadSpec:
         return "hat:" + ",".join(f"{v:g}" for v in self.point)
 
 
-def _finite_coords(what, *values):
-    coords = tuple(float(v) for v in values)
-    if not np.isfinite(coords).all():
-        raise ParameterError(f"{what} coordinates must be finite, got {coords}")
-    return coords
+def _finite(what, *values):
+    values = tuple(float(v) for v in values)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{what} must be finite, got {values}")
+    return values
 
 
 def _lattice_coord(value, n, what):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.sparse import csgraph
 
 from .errors import ParameterError
@@ -151,23 +150,7 @@ def gen_random_field(
 
 def connected_components(mesh: MeshHierarchy, coef: Coefficient, flag=True) -> ComponentLabeling:
     """Label edge-connected components of the fine elements with the given flag."""
-    sel = coef.is_one == flag
-    idx = np.flatnonzero(sel)
-    if len(idx) == 0:
-        return ComponentLabeling(np.full(mesh.fine.num_elements, -1), 0)
-    pos = np.full(mesh.fine.num_elements, -1, dtype=np.int64)
-    pos[idx] = np.arange(len(idx))
-    nb = mesh.fine.edge_neighbors[idx]
-    rows, cols = [], []
-    for col in range(3):
-        n_e = nb[:, col]
-        ok = (n_e >= 0) & sel[np.maximum(n_e, 0)]
-        rows.append(np.arange(len(idx))[ok])
-        cols.append(pos[n_e[ok]])
-    graph = sparse.csr_matrix(
-        (np.ones(sum(len(r) for r in rows)), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(idx), len(idx)),
-    )
+    idx, graph = mesh.fine.element_graph(coef.is_one == flag)
     count, sub_labels = csgraph.connected_components(graph, directed=False)
     labels = np.full(mesh.fine.num_elements, -1, dtype=np.int64)
     labels[idx] = sub_labels

@@ -114,6 +114,8 @@ def parse_config_text(text) -> dict:
             raise ParameterError(f"unknown config key {key!r} (line {lineno})")
         if key in values:
             raise ParameterError(f"duplicate config key {key!r} (line {lineno})")
+        if not raw:
+            raise ParameterError(f"config key {key!r} has an empty value (line {lineno})")
         values[key] = _parse_value(key, CONFIG_KEYS[key], raw)
     return values
 

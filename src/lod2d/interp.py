@@ -12,17 +12,19 @@ weighted by the coefficient, which evaluates the coefficient-weighted
 local L2 projection at the node, and ``AprojQM`` a quasi-monotone
 subregion of the patch with the same weight.  ``nodal`` is point
 evaluation.  The stability constant kappa is defined only for the
-unweighted dual; weighted node variables carry NaN.
+unweighted dual; weighted node variables carry NaN.  The sigma searches
+and the coverage count run on one fine-element graph
+(``_Level.element_graph``) with scipy's csgraph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse import csgraph
 
 from .assembly import assemble_mass
 from .coefficient import Coefficient, connected_components
@@ -121,27 +123,19 @@ def _incident_fine_elements(mesh, z):
 
 
 def _reachable(mesh, allowed, seeds, values=None):
-    """Mask of the fine elements reachable from the allowed seeds by edge steps.
+    """Ascending indices of the fine elements reachable from the allowed seeds by edge steps.
 
     Every step stays inside the ``allowed`` mask; with ``values`` given,
     a step from E to its neighbor N is taken only when
     values[N] <= values[E].
     """
-    neighbors = mesh.fine.edge_neighbors
-    visited = np.zeros(mesh.fine.num_elements, dtype=bool)
-    queue = deque()
-    for s in np.atleast_1d(seeds):
-        if allowed[s] and not visited[s]:
-            visited[s] = True
-            queue.append(int(s))
-    while queue:
-        e = queue.popleft()
-        for nb in neighbors[e]:
-            if (nb >= 0 and allowed[nb] and not visited[nb]
-                    and (values is None or values[nb] <= values[e])):
-                visited[nb] = True
-                queue.append(int(nb))
-    return visited
+    idx, graph = mesh.fine.element_graph(allowed, values)
+    seeds = np.atleast_1d(seeds)
+    reached = np.zeros(len(idx), dtype=bool)
+    for s in np.searchsorted(idx, seeds[allowed[seeds]]):
+        if not reached[s]:
+            reached[csgraph.breadth_first_order(graph, s, return_predecessors=False)] = True
+    return idx[reached]
 
 
 def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
@@ -161,10 +155,8 @@ def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
             sigma = scaled_node_patch(mesh, z, delta)
             cls = "II"
         else:
-            patch_fine = mesh.fine_set(node_patch(mesh, z))
-            allowed = patch_fine.mask(mesh.fine.num_elements) & coef.is_one
-            reached = _reachable(mesh, allowed, flagged.min())
-            sigma = ElementSet(mesh.fine_level, np.flatnonzero(reached))
+            allowed = mesh.fine_set(node_patch(mesh, z)).mask(mesh.fine.num_elements) & coef.is_one
+            sigma = ElementSet(mesh.fine_level, _reachable(mesh, allowed, flagged.min()))
             cls = "I"
         nodevars.append(_dual_node_variable(mesh, z, cls, sigma))
     return nodevars
@@ -179,7 +171,7 @@ def quasi_monotone_region(mesh: MeshHierarchy, coef: Coefficient, z) -> ElementS
     """
     allowed = mesh.fine_set(node_patch(mesh, z)).mask(mesh.fine.num_elements)
     reached = _reachable(mesh, allowed, _incident_fine_elements(mesh, z), coef.values())
-    return ElementSet(mesh.fine_level, np.flatnonzero(reached))
+    return ElementSet(mesh.fine_level, reached)
 
 
 def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> InterpOperator:

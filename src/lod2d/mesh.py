@@ -155,6 +155,25 @@ class _Level:
             ])
         return self._edge_neighbors
 
+    def element_graph(self, sel, values=None):
+        """Edge-adjacency graph of the elements in ``sel``, as ``(idx, graph)``.
+
+        ``idx = np.flatnonzero(sel)``; vertex a of the CSR ``graph`` is element
+        ``idx[a]``, with an edge a -> b for each edge neighbour ``idx[b]``.  With
+        ``values``, the edge E -> N exists only if values[N] <= values[E].
+        """
+        idx = np.flatnonzero(sel)
+        pos = np.full(self.num_elements + 1, -1, dtype=np.int64)  # pos[-1]: no neighbour
+        pos[idx] = np.arange(len(idx))
+        nb = self.edge_neighbors[idx]
+        dst = pos[nb]
+        keep = dst >= 0
+        if values is not None:
+            keep &= values[nb] <= values[idx, None]
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        graph = sparse.csr_matrix((np.ones(indptr[-1]), dst[keep], indptr), shape=(len(idx),) * 2)
+        return idx, graph
+
     def barycenters(self):
         e = np.arange(self.num_elements, dtype=np.int64)
         t = e & 1

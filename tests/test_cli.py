@@ -140,6 +140,9 @@ def test_missing_level_key(tmp_path, capsys):
         "negative-field-seed",
         "infinite-rect-load",
         "infinite-hat-load",
+        "infinite-const-load",
+        "nan-const-load",
+        "empty-csv-value",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, case):
@@ -163,11 +166,18 @@ def test_malformed_input_exits_one(tmp_path, capsys, case):
     elif case == "negative-field-seed":
         cfg = write_config(tmp_path, "seed = -1\n", base=TINY.replace("seed = 5\n", ""))
         argv = ["coef", str(cfg), str(tmp_path / "x.pgm")]
-    elif case in ("infinite-rect-load", "infinite-hat-load"):
-        load = "rect:0,1,0,inf" if case == "infinite-rect-load" else "hat:inf,0.5"
+    elif case.endswith("-load"):
+        load = {
+            "infinite-rect-load": "rect:0,1,0,inf",
+            "infinite-hat-load": "hat:inf,0.5",
+            "infinite-const-load": "const:inf",
+            "nan-const-load": "const:nan",
+        }[case]
         base = TINY.replace("f = const:1\n", "")
         cfg = write_config(tmp_path, f"f = {load}\ncsv = {tmp_path}/d.csv\n", base=base)
         argv = ["run", str(cfg)]
+    elif case == "empty-csv-value":
+        argv = ["run", str(write_config(tmp_path, "csv =\n"))]
     elif case == "element-out-of-range":
         argv = decay + ["--element", "99999"]
     else:

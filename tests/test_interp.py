@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from collections import deque
 from fractions import Fraction
 
 import lod2d.interp as interp
 from lod2d.assembly import assemble_mass
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
 from lod2d.errors import DegenerateSigmaError, ParameterError
+from lod2d.harness import build_coefficient
 from lod2d.interp import (
     OPERATOR_KINDS,
     _coarse_gram,
@@ -19,6 +21,29 @@ from lod2d.interp import (
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, node_patch
 
 
+def _reachable_bfs(mesh, allowed, seeds, values=None):
+    """Oracle: mask of the elements a deque BFS reaches from the allowed seeds.
+
+    Steps follow mesh.fine.edge_neighbors inside ``allowed``; with
+    ``values``, a step from E to N needs values[N] <= values[E].
+    """
+    neighbors = mesh.fine.edge_neighbors
+    visited = np.zeros(mesh.fine.num_elements, dtype=bool)
+    queue = deque()
+    for s in np.atleast_1d(seeds):
+        if allowed[s] and not visited[s]:
+            visited[s] = True
+            queue.append(int(s))
+    while queue:
+        e = queue.popleft()
+        for nb in neighbors[e]:
+            if (nb >= 0 and allowed[nb] and not visited[nb]
+                    and (values is None or values[nb] <= values[e])):
+                visited[nb] = True
+                queue.append(int(nb))
+    return visited
+
+
 def is_quasi_monotone(mesh, coef, region, z) -> bool:
     """True iff every region element reaches a z-incident one along a path
     (inside the region) with nondecreasing coefficient."""
@@ -29,7 +54,7 @@ def is_quasi_monotone(mesh, coef, region, z) -> bool:
     in_region[idx] = True
     # reverse traversal of a nondecreasing path toward z
     incident = interp._incident_fine_elements(mesh, z)
-    reached = interp._reachable(mesh, in_region, incident, coef.values())
+    reached = _reachable_bfs(mesh, in_region, incident, coef.values())
     return bool(reached[idx].all())
 
 
@@ -198,6 +223,39 @@ def independent_flood(mesh, allowed, seeds):
         seen.add(e)
         stack.extend(adj.get(e, ()))
     return np.array(sorted(seen))
+
+
+@pytest.mark.parametrize("levels", [(2, 6), (3, 6)])
+@pytest.mark.parametrize("family", ["stripes", "balls", "field"])
+def test_reachable_matches_bfs_on_operator_builds(monkeypatch, levels, family):
+    mesh = build_hierarchy(*levels, BoundarySpec.all_edges())
+    coef = build_coefficient(family, mesh, 0.01, seed=3)
+    calls = []
+    reachable = interp._reachable
+
+    def spy(mesh, allowed, seeds, values=None):
+        got = reachable(mesh, allowed, seeds, values)
+        calls.append((allowed, seeds, values, got))
+        return got
+
+    monkeypatch.setattr(interp, "_reachable", spy)
+    for kind in ("IH", "IH1", "AprojQM"):
+        build_operator(kind, mesh, coef)
+    assert calls
+    for allowed, seeds, values, got in calls:
+        want = np.flatnonzero(_reachable_bfs(mesh, allowed, seeds, values))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_reachable_matches_bfs_on_random_masks(mesh36):
+    rng = np.random.default_rng(5)
+    n = mesh36.fine.num_elements
+    for trial in range(40):
+        allowed = rng.random(n) < rng.uniform(0.3, 0.9)
+        seeds = rng.choice(n, size=rng.integers(1, 8), replace=False)
+        values = rng.integers(0, 3, n).astype(float) if trial % 2 else None
+        got = interp._reachable(mesh36, allowed, seeds, values)
+        assert np.array_equal(got, np.flatnonzero(_reachable_bfs(mesh36, allowed, seeds, values)))
 
 
 def test_classify_all_alpha_is_class_two(mesh36):

@@ -371,3 +371,37 @@ def test_edge_neighbors_equal_two_branch_table():
     for lev in range(1, 9):
         lvl = build_hierarchy(lev, lev + 1, BoundarySpec.all_edges()).coarse
         assert np.array_equal(lvl.edge_neighbors, two_branch_neighbors(lvl)), lev
+
+
+def shared_edge_pairs(lvl):
+    """Oracle: ordered pairs of elements that share two vertices."""
+    owner, pairs = {}, set()
+    for e, tri in enumerate(lvl.elements.tolist()):
+        v = sorted(tri)
+        for key in ((v[0], v[1]), (v[0], v[2]), (v[1], v[2])):
+            if key in owner:
+                pairs |= {(owner[key], e), (e, owner[key])}
+            else:
+                owner[key] = e
+    return pairs
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_element_graph_matches_shared_edges(directed):
+    lvl = build_hierarchy(2, 4, BoundarySpec.all_edges()).fine
+    pairs = shared_edge_pairs(lvl)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        sel = rng.random(lvl.num_elements) < 0.6
+        values = rng.integers(0, 3, lvl.num_elements).astype(float) if directed else None
+        idx, graph = lvl.element_graph(sel, values)
+        assert np.array_equal(idx, np.flatnonzero(sel))
+        a, b = graph.nonzero()
+        got = set(zip(idx[a].tolist(), idx[b].tolist()))
+        want = {
+            (e, n) for e, n in pairs
+            if sel[e] and sel[n] and (values is None or values[n] <= values[e])
+        }
+        assert got == want
+    idx, graph = lvl.element_graph(np.zeros(lvl.num_elements, bool))
+    assert len(idx) == 0 and graph.shape == (0, 0)
