@@ -2,8 +2,11 @@
 
 Subcommands: ``coef`` (generate a coefficient and save its PGM image),
 ``kappa`` (per-node stability table), ``run`` (full experiment sweep),
-``plot`` (CSV to SVG), ``decay`` (corrector decay profile).  Exit codes:
-0 success, 1 validation error, 2 numerical failure.
+``plot`` (CSV to SVG), ``decay`` (corrector decay profile).  Every
+subcommand that takes a config reads it as one validated
+``ExperimentConfig``.  Exit codes: 0 success, 1 validation error or an
+unreadable or unwritable file, 2 numerical failure.  Runs as the
+``lod2d`` script, ``python -m lod2d`` or ``python -m lod2d.cli``.
 """
 
 from __future__ import annotations
@@ -17,43 +20,30 @@ import numpy as np
 from .assembly import BilinearFormContext
 from .coefficient import save_pgm
 from .errors import ParameterError, SolverError
-from .harness import (
-    ExperimentConfig,
-    build_coefficient,
-    emit_svg,
-    parse_config,
-    read_csv,
-    run_experiment,
-)
+from .harness import ExperimentConfig, emit_svg, read_csv, run_experiment
 from .interp import DUAL_BASIS_KINDS, build_operator, node_variable_table
 from .lod import decay_profile, element_corrector
-from .mesh import BoundarySpec, build_hierarchy
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _mesh_from_values(values):
-    for key in ("coarse_level", "fine_level"):
-        if key not in values:
-            raise ParameterError(f"config is missing required key {key!r}")
-    edges = values.get("dirichlet", ("left", "right", "bottom", "top"))
-    return build_hierarchy(values["coarse_level"], values["fine_level"],
-                           BoundarySpec.edges(*edges))
+def _configured(args):
+    """The validated config, its mesh and its coefficient at the first alpha."""
+    config = ExperimentConfig.from_file(args.config)
+    mesh = config.mesh()
+    return config, mesh, config.coefficient_at(mesh, config.alphas[0])
 
 
-def _coefficient_from_values(values, mesh):
-    options = {key: values[key] for key in ("seed", "smoothing_passes", "one_fraction")
-               if key in values}
-    return build_coefficient(values.get("coefficient", "stripes"), mesh,
-                             values.get("alpha", (0.1,))[0], **options)
+def _write_lines(path, lines):
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_coef(args):
-    values = parse_config(args.config)
-    mesh = _mesh_from_values(values)
-    coef = _coefficient_from_values(values, mesh)
+    _, mesh, coef = _configured(args)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_pgm(mesh, coef, out)
@@ -62,20 +52,16 @@ def cmd_coef(args):
 
 
 def cmd_kappa(args):
-    values = parse_config(args.config)
-    mesh = _mesh_from_values(values)
-    coef = _coefficient_from_values(values, mesh)
+    config, mesh, coef = _configured(args)
     if args.operator not in DUAL_BASIS_KINDS:
         raise ParameterError(
             f"kappa table needs a dual-basis operator {DUAL_BASIS_KINDS}, got {args.operator!r}"
         )
-    op = build_operator(args.operator, mesh, coef, delta=values.get("delta"))
+    op = build_operator(args.operator, mesh, coef, delta=config.delta)
     lines = ["node,class,sigma_elements,kappa"]
     for node, cls, count, kap in node_variable_table(op.node_variables):
         lines.append(f"{node},{cls},{count},{kap:.17g}")
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(args.output, lines)
     print(f"wrote {args.output} ({len(lines) - 1} nodes)")
     return EXIT_OK
 
@@ -103,18 +89,16 @@ def cmd_plot(args):
 def cmd_decay(args):
     if args.k_max < 0:
         raise ParameterError(f"--k-max must be >= 0, got {args.k_max}")
-    values = parse_config(args.config)
-    mesh = _mesh_from_values(values)
+    config, mesh, coef = _configured(args)
     T = args.element
     if T is None:
         nc = mesh.coarse.n
         T = 2 * ((nc // 2) * nc + nc // 2)  # central cell, lower triangle
     elif not 0 <= T < mesh.coarse.num_elements:
         raise ParameterError(f"--element {T} out of range [0, {mesh.coarse.num_elements})")
-    coef = _coefficient_from_values(values, mesh)
     ctx = BilinearFormContext(mesh, coef)
     kind = args.operator
-    op = build_operator(kind, mesh, coef, delta=values.get("delta"))
+    op = build_operator(kind, mesh, coef, delta=config.delta)
     verts = [int(v) for v in mesh.coarse.elements[T]]
     free = set(int(z) for z in op.free_nodes)
     nodes = [v for v in verts if v in free]
@@ -123,10 +107,7 @@ def cmd_decay(args):
     i = nodes[0]
     q = element_corrector(ctx, op, i, T, k=None)
     profile = decay_profile(ctx, q, T, args.k_max)
-    lines = ["k,annulus_energy"] + [f"{k},{e:.17g}" for k, e in profile]
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(args.output, ["k,annulus_energy"] + [f"{k},{e:.17g}" for k, e in profile])
     print(f"wrote {args.output} (element {T}, node {i}, operator {kind})")
     return EXIT_OK
 
@@ -176,7 +157,7 @@ def cli(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolverError, np.linalg.LinAlgError) as exc:
@@ -186,3 +167,7 @@ def cli(argv=None) -> int:
 
 def main():
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,15 @@
 """Experiment driver: config files, error sweeps, CSV tables and SVG plots.
 
-Configs are flat UTF-8 ``key = value`` files; unknown keys are
-rejected.  A sweep runs every (operator, alpha, k) cell against one
-cached fine reference solution per alpha and writes a CSV sorted by
-(operator, alpha, k).  Cells that fail numerically become ``failed``
+Configs are flat UTF-8 ``key = value`` files.  ``CONFIG_KEYS`` is the
+whole schema: it maps each key to the parser of its raw text, and a
+value that parser rejects ends in a ``ParameterError`` naming the key;
+unknown, duplicate and empty keys are rejected too.
+``ExperimentConfig`` validates the parsed values and builds the mesh
+and the coefficient that every CLI subcommand works on.
+
+A sweep runs every (operator, alpha, k) cell against one cached fine
+reference solution per alpha and writes a CSV sorted by (operator,
+alpha, k).  Cells that fail numerically become ``failed``
 rows rather than aborting the run.  Timings are recorded only when
 ``record_timings`` is enabled, so default runs are byte-reproducible.
 """
@@ -30,74 +36,65 @@ from .lod import relative_energy_error, reference_solution, solve_multiscale
 from .mesh import BoundarySpec, EDGE_NAMES, build_hierarchy
 
 CSV_HEADER = "operator,alpha,k,H,h,rel_energy_error,wall_time_s,seed,status"
-
-CONFIG_KEYS = {
-    "coarse_level": int,
-    "fine_level": int,
-    "coefficient": str,
-    "alpha": "float_list",
-    "seed": int,
-    "smoothing_passes": int,
-    "one_fraction": float,
-    "dirichlet": "edges",
-    "f": "load",
-    "operators": "str_list",
-    "k": "int_list",
-    "rhs_correction": "bool",
-    "delta": "fraction",
-    "csv": str,
-    "svg_prefix": str,
-    "cache_dir": str,
-    "record_timings": "bool",
-}
+# part of every reference-cache key: bump it when the stored array's meaning changes
+REFERENCE_FORMAT = 1
 
 COEFFICIENT_KINDS = ("stripes", "balls", "field")
 
 
-def _parse_value(key, kind, raw):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw}")
-        if kind == "float_list":
-            return tuple(float(v) for v in raw.split(","))
-        if kind == "int_list":
-            return tuple(int(v) for v in raw.split(","))
-        if kind == "str_list":
-            return tuple(v.strip() for v in raw.split(","))
-        if kind == "fraction":
-            return Fraction(raw)
-        if kind == "edges":
-            if raw == "all":
-                return tuple(EDGE_NAMES)
-            return tuple(v.strip() for v in raw.split(","))
-        if kind == "load":
-            tag, _, rest = raw.partition(":")
-            if tag == "const":
-                return LoadSpec.constant(float(rest or "1"))
-            if tag == "rect":
-                vals = [float(v) for v in rest.split(",")]
-                if len(vals) != 4:
-                    raise ValueError("rect needs x0,x1,y0,y1")
-                return LoadSpec.rectangle(*vals)
-            if tag == "hat":
-                vals = [float(v) for v in rest.split(",")]
-                if len(vals) != 2:
-                    raise ValueError("hat needs x,y")
-                return LoadSpec.hat(*vals)
-            raise ValueError(f"unknown load kind {tag!r}")
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"config key {key!r}: {exc}") from exc
-    raise ParameterError(f"config key {key!r} has no parser")
+def _tuple(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(","))
+
+
+def _bool(raw):
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw}")
+
+
+def _edges(raw):
+    return tuple(EDGE_NAMES) if raw == "all" else _tuple(str)(raw)
+
+
+def _load(raw):
+    tag, _, rest = raw.partition(":")
+    if tag == "const":
+        return LoadSpec.constant(float(rest or "1"))
+    if tag == "rect":
+        vals = [float(v) for v in rest.split(",")]
+        if len(vals) != 4:
+            raise ValueError("rect needs x0,x1,y0,y1")
+        return LoadSpec.rectangle(*vals)
+    if tag == "hat":
+        vals = [float(v) for v in rest.split(",")]
+        if len(vals) != 2:
+            raise ValueError("hat needs x,y")
+        return LoadSpec.hat(*vals)
+    raise ValueError(f"unknown load kind {tag!r}")
+
+
+# key -> parser of its raw text; a ValueError or ZeroDivisionError names the key
+CONFIG_KEYS = {
+    "coarse_level": int,
+    "fine_level": int,
+    "coefficient": str,
+    "alpha": _tuple(float),
+    "seed": int,
+    "smoothing_passes": int,
+    "one_fraction": float,
+    "dirichlet": _edges,
+    "f": _load,
+    "operators": _tuple(str),
+    "k": _tuple(int),
+    "rhs_correction": _bool,
+    "delta": Fraction,
+    "csv": str,
+    "svg_prefix": str,
+    "cache_dir": str,
+    "record_timings": _bool,
+}
 
 
 def parse_config_text(text) -> dict:
@@ -116,7 +113,10 @@ def parse_config_text(text) -> dict:
             raise ParameterError(f"duplicate config key {key!r} (line {lineno})")
         if not raw:
             raise ParameterError(f"config key {key!r} has an empty value (line {lineno})")
-        values[key] = _parse_value(key, CONFIG_KEYS[key], raw)
+        try:
+            values[key] = CONFIG_KEYS[key](raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParameterError(f"config key {key!r}: {exc}") from exc
     return values
 
 
@@ -187,6 +187,22 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_mapping(parse_config(path))
 
+    def mesh(self):
+        return build_hierarchy(
+            self.coarse_level, self.fine_level, BoundarySpec.edges(*self.dirichlet)
+        )
+
+    def coefficient_at(self, mesh, alpha):
+        """The configured coefficient on mesh at contrast alpha."""
+        if self.coefficient == "stripes":
+            return coefmod.gen_stripes(mesh, alpha)
+        if self.coefficient == "balls":
+            return coefmod.gen_random_balls(mesh, alpha, self.seed)
+        return coefmod.gen_random_field(
+            mesh, alpha, self.seed,
+            smoothing_passes=self.smoothing_passes, one_fraction=self.one_fraction,
+        )
+
     def sweep_cells(self):
         return [
             (op, alpha, k)
@@ -228,21 +244,9 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def build_coefficient(kind, mesh, alpha, seed=0, smoothing_passes=6, one_fraction=0.5):
-    """Generate the named coefficient; seed and the field options apply where used."""
-    if kind == "stripes":
-        return coefmod.gen_stripes(mesh, alpha)
-    if kind == "balls":
-        return coefmod.gen_random_balls(mesh, alpha, seed)
-    if kind == "field":
-        return coefmod.gen_random_field(
-            mesh, alpha, seed, smoothing_passes=smoothing_passes, one_fraction=one_fraction
-        )
-    raise ParameterError(f"coefficient must be one of {COEFFICIENT_KINDS}, got {kind!r}")
-
-
 def _reference_cache_key(config: ExperimentConfig, alpha):
     payload = {
+        "format": REFERENCE_FORMAT,
         "coarse_level": config.coarse_level,
         "fine_level": config.fine_level,
         "coefficient": config.coefficient,
@@ -295,17 +299,12 @@ def _worker_count():
 def run_experiment(config: ExperimentConfig):
     """Run the full sweep; returns the sorted result rows and writes the CSV."""
     workers = _worker_count()
-    mesh = build_hierarchy(
-        config.coarse_level, config.fine_level, BoundarySpec.edges(*config.dirichlet)
-    )
+    mesh = config.mesh()
 
     contexts, references, operators = {}, {}, {}
     op_errors = {}
     for alpha in config.alphas:
-        coef = build_coefficient(
-            config.coefficient, mesh, alpha, config.seed,
-            config.smoothing_passes, config.one_fraction,
-        )
+        coef = config.coefficient_at(mesh, alpha)
         ctx = BilinearFormContext(mesh, coef)
         contexts[alpha] = ctx
         references[alpha] = _cached_reference(config, ctx, alpha)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lod2d
 from lod2d.cli import cli
 from lod2d.coefficient import load_pgm
 from lod2d.harness import read_csv
@@ -127,6 +133,32 @@ def test_missing_level_key(tmp_path, capsys):
     assert "coarse_level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["coef", "kappa", "decay", "run"])
+def test_every_subcommand_needs_the_required_keys(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, base=TINY.replace("operators = SZ,nodal\n", ""))
+    argv = [command, str(cfg)] + ([] if command == "run" else [str(tmp_path / "out")])
+    assert cli(argv) == 1
+    assert "missing required keys: ['operators']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def run_module(*args):
+    src = str(Path(lod2d.__file__).parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", *args], env=env, capture_output=True, text=True)
+
+
+def test_python_dash_m_entry_points(tmp_path):
+    out = tmp_path / "coef.pgm"
+    done = run_module("lod2d", "coef", str(write_config(tmp_path)), str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.is_file()
+    done = run_module("lod2d.cli", "frobnicate")
+    assert done.returncode == 1
+    assert "frobnicate" in done.stderr
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -143,6 +175,8 @@ def test_missing_level_key(tmp_path, capsys):
         "infinite-const-load",
         "nan-const-load",
         "empty-csv-value",
+        "csv-path-is-directory",
+        "output-under-a-file",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, case):
@@ -178,6 +212,11 @@ def test_malformed_input_exits_one(tmp_path, capsys, case):
         argv = ["run", str(cfg)]
     elif case == "empty-csv-value":
         argv = ["run", str(write_config(tmp_path, "csv =\n"))]
+    elif case == "csv-path-is-directory":
+        argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}\n"))]
+    elif case == "output-under-a-file":
+        (tmp_path / "file").write_text("")
+        argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]
     elif case == "element-out-of-range":
         argv = decay + ["--element", "99999"]
     else:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lod2d.harness as harness
 from lod2d.assembly import LoadSpec
 from lod2d.errors import ParameterError
 from lod2d.harness import (
@@ -256,3 +257,16 @@ def test_truncated_reference_cache_is_rebuilt(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert all(np.load(path).ndim == 1 for path in entries)
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in entries)
+
+
+def test_reference_format_salts_the_cache_key(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path, alphas=(0.1,), csv=str(tmp_path / "a.csv"))
+    run_experiment(config)
+    cache = tmp_path / "cache"
+    first = {p.name for p in cache.glob("ref_*.npy")}
+    assert len(first) == 1
+    monkeypatch.setattr(harness, "REFERENCE_FORMAT", harness.REFERENCE_FORMAT + 1)
+    run_experiment(replace(config, csv=str(tmp_path / "b.csv")))
+    second = {p.name for p in cache.glob("ref_*.npy")}
+    assert len(second) == 2 and first < second
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

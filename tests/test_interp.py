@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import lod2d.interp as interp
 from lod2d.assembly import assemble_mass
-from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
+from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
 from lod2d.errors import DegenerateSigmaError, ParameterError
-from lod2d.harness import build_coefficient
 from lod2d.interp import (
     OPERATOR_KINDS,
     _coarse_gram,
@@ -229,7 +228,11 @@ def independent_flood(mesh, allowed, seeds):
 @pytest.mark.parametrize("family", ["stripes", "balls", "field"])
 def test_reachable_matches_bfs_on_operator_builds(monkeypatch, levels, family):
     mesh = build_hierarchy(*levels, BoundarySpec.all_edges())
-    coef = build_coefficient(family, mesh, 0.01, seed=3)
+    coef = {
+        "stripes": lambda: gen_stripes(mesh, 0.01),
+        "balls": lambda: gen_random_balls(mesh, 0.01, 3),
+        "field": lambda: gen_random_field(mesh, 0.01, 3),
+    }[family]()
     calls = []
     reachable = interp._reachable
 

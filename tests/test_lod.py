@@ -6,7 +6,7 @@ import pytest
 import lod2d.lod as lod
 from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
-from lod2d.interp import build_operator
+from lod2d.interp import OPERATOR_KINDS, build_operator
 from lod2d.lod import (
     compute_correctors,
     decay_profile,
@@ -138,6 +138,31 @@ def stripes_l3():
     mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
     coef = gen_stripes(mesh, 1e-3)
     return mesh, coef, BilinearFormContext(mesh, coef)
+
+
+def test_point_reflection_and_load_scaling(stripes_l3):
+    """Metamorphic checks on stripes, which the point reflection
+    (x, y) -> (1 - x, 1 - y) maps onto themselves along with the mesh and
+    its NW-SE diagonals.  Reflecting the load reflects every solution; node
+    (i, j) goes to (n - i, n - j), which reverses the node numbering.  The
+    solution is also linear in the load."""
+    mesh, coef, ctx = stripes_l3
+    left = LoadSpec.rectangle(0.0, 0.5, 0.25, 0.75)
+    right = LoadSpec.rectangle(0.5, 1.0, 0.25, 0.75)
+    one, three = LoadSpec.constant(1.0), LoadSpec.constant(3.0)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+    assert close(reference_solution(ctx, right)[::-1], reference_solution(ctx, left))
+    assert close(reference_solution(ctx, three), 3 * reference_solution(ctx, one))
+    for kind in OPERATOR_KINDS:
+        op = build_operator(kind, mesh, coef)
+        for k in (1, 2):
+            mirrored = solve_multiscale(ctx, op, k, right).u_total[::-1]
+            assert close(mirrored, solve_multiscale(ctx, op, k, left).u_total), (kind, k)
+        tripled = solve_multiscale(ctx, op, 1, three).u_total
+        assert close(tripled, 3 * solve_multiscale(ctx, op, 1, one).u_total), kind
 
 
 @pytest.mark.parametrize("kind,k", [("IH", 1), ("IH", 2), ("SZ", 1), ("SZ", 2)])
