@@ -17,12 +17,7 @@ from .coefficient import (
     load_pgm,
     save_pgm,
 )
-from .errors import (
-    ConstraintDegeneracyError,
-    DegenerateSigmaError,
-    ParameterError,
-    SolverError,
-)
+from .errors import DegenerateSigmaError, ParameterError, SolverError
 from .harness import ExperimentConfig, emit_svg, run_experiment
 from .interp import (
     InterpOperator,

@@ -2,7 +2,11 @@
 
 All element integrals use the closed-form P1 formulas for right
 triangles with axis-aligned legs, so there is no quadrature error
-anywhere: products of linears are integrated exactly.
+anywhere: products of linears are integrated exactly.  Every region,
+the whole mesh included, is assembled on its own nodes: the stiffness
+and mass assemblers return the ascending fine nodes the region touches
+and the matrix in that local numbering, so a patch or an integration
+domain never costs a matrix the size of the fine mesh.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import ConstraintDegeneracyError, ParameterError, SolverError
-from .mesh import ElementSet, MeshHierarchy
+from .errors import ParameterError, SolverError
+from .mesh import MeshHierarchy
 
 # local matrices for vertex order (right-angle corner, leg end, leg end)
 STIFFNESS_LOCAL = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
@@ -27,46 +31,35 @@ SADDLE_RTOL = 1e-9
 def _region_indices(mesh: MeshHierarchy, region):
     if region is None:
         return np.arange(mesh.fine.num_elements, dtype=np.int64)
-    if isinstance(region, ElementSet):
-        if region.level != mesh.fine_level:
-            raise ParameterError("assembly region must be a fine-level element set")
-        return region.indices
     return np.asarray(region, dtype=np.int64)
 
 
-def _scatter(verts, n, local, scale):
-    """Sum scale[e] * local over elements with vertex rows ``verts`` into an n x n CSR."""
+def _assemble(mesh: MeshHierarchy, region, weight, local, factor):
+    """Sum weight(e) * factor * local over the region's fine elements.
+
+    Returns (nodes, matrix): the ascending fine nodes the region
+    touches and the CSR matrix in that local numbering.  The numbering
+    is monotone, so the matrix holds the values of the nonzero block a
+    whole-mesh numbering would give, entry for entry.
+    """
+    elems = _region_indices(mesh, region)
+    nodes, verts = np.unique(mesh.fine.elements[elems], return_inverse=True)
+    verts = verts.reshape(-1, 3)
+    scale = (np.ones(len(elems)) if weight is None else weight.values()[elems]) * factor
     rows = np.repeat(verts, 3, axis=1).ravel()
     cols = np.tile(verts, (1, 3)).ravel()
     vals = (scale[:, None, None] * local[None, :, :]).ravel()
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return nodes, sparse.csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes)))
 
 
 def assemble_stiffness(mesh: MeshHierarchy, coef=None, region=None):
-    """A-weighted stiffness over the region (whole mesh by default)."""
-    elems = _region_indices(mesh, region)
-    a = np.ones(len(elems)) if coef is None else coef.values()[elems]
-    return _scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, STIFFNESS_LOCAL, a)
-
-
-def local_stiffness(mesh: MeshHierarchy, coef, elems):
-    """A-weighted stiffness over fine elements ``elems`` on the nodes they touch.
-
-    Returns (nodes, K): ascending fine node indices and K in that local
-    numbering.  The numbering is monotone, so K holds exactly the
-    values of the nonzero block of ``assemble_stiffness(mesh, coef, elems)``.
-    """
-    nodes, local = np.unique(mesh.fine.elements[elems], return_inverse=True)
-    a = coef.values()[elems]
-    return nodes, _scatter(local.reshape(-1, 3), len(nodes), STIFFNESS_LOCAL, a)
+    """A-weighted stiffness over the region (whole mesh by default): (nodes, K)."""
+    return _assemble(mesh, region, coef, STIFFNESS_LOCAL, 1.0)
 
 
 def assemble_mass(mesh: MeshHierarchy, region=None, weight=None):
-    """(Optionally coefficient-weighted) mass matrix over the region."""
-    elems = _region_indices(mesh, region)
-    area = mesh.h**2 / 2.0
-    w = np.full(len(elems), area) if weight is None else weight.values()[elems] * area
-    return _scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, MASS_LOCAL_UNIT_AREA, w)
+    """(Optionally coefficient-weighted) mass matrix over the region: (nodes, M)."""
+    return _assemble(mesh, region, weight, MASS_LOCAL_UNIT_AREA, mesh.h**2 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -314,31 +307,13 @@ class SaddleSystem:
         return U, lam_full
 
 
-def solve_saddle(K, C, b):
-    """Solve the KKT system K u + C^T lam = b, C u = 0 for one right-hand side.
-
-    Zero constraint rows are pruned and their multipliers come back as
-    zero.  Linearly dependent rows raise ConstraintDegeneracyError
-    naming the rows a maximal independent subset leaves out.
-    """
-    system = SaddleSystem(K, C)
-    if len(system.dropped_rows):
-        dropped = [int(r) for r in system.dropped_rows]
-        raise ConstraintDegeneracyError(
-            f"constraint matrix rank deficient; dependent rows {dropped}",
-            offending_rows=dropped,
-        )
-    u, lam = system.solve(np.asarray(b, dtype=float)[:, None])
-    return u[:, 0], lam[:, 0]
-
-
 class BilinearFormContext:
     """Mesh + coefficient bundle with the cached fine stiffness."""
 
     def __init__(self, mesh: MeshHierarchy, coef):
         self.mesh = mesh
         self.coef = coef
-        self.stiffness = assemble_stiffness(mesh, coef)
+        self.stiffness = assemble_stiffness(mesh, coef)[1]
         self.constrained_fine = np.flatnonzero(mesh.constrained_fine_mask)
 
     def energy_norm(self, v):

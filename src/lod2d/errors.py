@@ -9,13 +9,5 @@ class SolverError(RuntimeError):
     """A linear solve failed or did not meet its residual tolerance."""
 
 
-class ConstraintDegeneracyError(SolverError):
-    """Constraint matrix is rank deficient after zero-row pruning."""
-
-    def __init__(self, message, offending_rows=()):
-        super().__init__(message)
-        self.offending_rows = tuple(offending_rows)
-
-
 class DegenerateSigmaError(SolverError):
     """Integration domain yields a singular or near-singular dual-basis system."""

@@ -33,7 +33,7 @@ from .assembly import BilinearFormContext, LoadSpec
 from .errors import ParameterError, SolverError
 from .interp import OPERATOR_KINDS, build_operator
 from .lod import relative_energy_error, reference_solution, solve_multiscale
-from .mesh import BoundarySpec, EDGE_NAMES, build_hierarchy
+from .mesh import BoundarySpec, EDGE_NAMES, build_hierarchy, delta_steps, level_ratio
 
 CSV_HEADER = "operator,alpha,k,H,h,rel_energy_error,wall_time_s,seed,status"
 # part of every reference-cache key: bump it when the stored array's meaning changes
@@ -172,6 +172,9 @@ class ExperimentConfig:
         if not self.dirichlet:
             raise ParameterError("dirichlet boundary must be nonempty")
         BoundarySpec.edges(*self.dirichlet)  # validates edge names
+        ratio = level_ratio(self.coarse_level, self.fine_level)
+        if self.delta is not None:
+            delta_steps(self.delta, ratio)
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
@@ -296,9 +299,22 @@ def _worker_count():
     return n or min(4, os.cpu_count() or 1)
 
 
+def _prepare_outputs(config: ExperimentConfig):
+    """Create the output directories; a csv path that is a directory is an error."""
+    if config.csv and Path(config.csv).is_dir():
+        raise ParameterError(f"csv path {config.csv} is a directory")
+    for path in (config.csv, config.svg_prefix):
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def run_experiment(config: ExperimentConfig):
-    """Run the full sweep; returns the sorted result rows and writes the CSV."""
+    """Run the full sweep; returns the sorted result rows and writes the CSV.
+
+    The outputs are prepared first, so an unwritable path costs no solve.
+    """
     workers = _worker_count()
+    _prepare_outputs(config)
     mesh = config.mesh()
 
     contexts, references, operators = {}, {}, {}

@@ -63,10 +63,10 @@ class InterpOperator:
         return self.matrix @ v
 
 
-def _coarse_gram(mesh, mass, own_node):
-    """Gram matrix P^T M P of the coarse hats with positive mass in M, own node first."""
-    P = mesh.prolongation_matrix
-    Mc = (P.T @ (mass @ P)).tocsr()
+def _coarse_gram(P_rows, mass, own_node):
+    """Gram matrix P^T M P of the coarse hats with positive mass in M, own node first
+    (M a region's mass matrix on its nodes, P_rows the prolongation rows of those nodes)."""
+    Mc = (P_rows.T @ (mass @ P_rows)).tocsr()
     diag = Mc.diagonal()
     support = np.flatnonzero(diag > 0.0)
     if own_node not in support:
@@ -84,15 +84,17 @@ def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
     Solves M xi = e_1 with M the Gram matrix of the coarse hats on
     sigma, own node ordered first; then psi = sum_k xi_k phi_k satisfies
     int_sigma w psi phi_j = delta_1j.  Returns (support, xi, row) with
-    row = M_sigma (P psi), the node variable as a fine-node functional:
-    row @ v = int_sigma w psi v.  The Gram matrix P^T M_sigma P and the
-    row come from the one assembled (weighted) sigma mass matrix M_sigma.
+    row = M_sigma (P psi) as a 1 x (fine nodes) CSR, the node variable
+    as a fine-node functional: row @ v = int_sigma w psi v.  The Gram
+    matrix and the row come from one (weighted) sigma mass matrix
+    M_sigma, assembled on sigma's nodes with their rows of P.
     """
     idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
     if len(idx) == 0:
         raise DegenerateSigmaError("integration domain is empty")
-    mass = assemble_mass(mesh, region=idx, weight=weight)
-    support, M = _coarse_gram(mesh, mass, own_node)
+    nodes, mass = assemble_mass(mesh, region=idx, weight=weight)
+    P_rows = mesh.prolongation_matrix[nodes]
+    support, M = _coarse_gram(P_rows, mass, own_node)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateSigmaError(
@@ -103,7 +105,10 @@ def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
     xi = np.linalg.solve(M, e1)
     w = np.zeros(mesh.coarse.num_nodes)
     w[support] = xi
-    return support, xi, mass @ (mesh.prolongation_matrix @ w)
+    row = mass @ (P_rows @ w)
+    nz = np.flatnonzero(row)
+    row = sparse.csr_matrix((row[nz], nodes[nz], [0, len(nz)]), shape=(1, mesh.fine.num_nodes))
+    return support, xi, row
 
 
 def kappa(mesh: MeshHierarchy, sigma, own_node):
@@ -115,7 +120,7 @@ def _dual_node_variable(mesh, z, cls, sigma, weight=None):
     """The node variable of z on sigma, with its fine row; kappa only without weight."""
     support, xi, row = dual_basis(mesh, sigma, z, weight)
     k = float(np.sqrt(mesh.H**2 * xi[0])) if weight is None else float("nan")
-    return NodeVariable(int(z), cls, sigma, support, xi, k, sparse.csr_matrix(row))
+    return NodeVariable(int(z), cls, sigma, support, xi, k, row)
 
 
 def _incident_fine_elements(mesh, z):

@@ -22,8 +22,6 @@ from .assembly import (
     SaddleSystem,
     assemble_load,
     assemble_stiffness,
-    energy_norm,
-    local_stiffness,
     solve_spd,
 )
 from .errors import ParameterError, SolverError
@@ -105,7 +103,7 @@ def _element_solve(ctx, system, T, dofs, verts, load=None):
     mesh = ctx.mesh
     columns = []
     if verts:
-        nodes, K_T = local_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
+        nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
         KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, verts]
         pos = np.minimum(np.searchsorted(dofs, nodes), len(dofs) - 1)
         inside = dofs[pos] == nodes
@@ -309,6 +307,9 @@ def decay_profile(ctx, corrector, T, k_max):
             out.append((k, 0.0))
             continue
         region = mesh.fine_elements_of_coarse(outside)
-        K_out = assemble_stiffness(mesh, ctx.coef, region=region)
-        out.append((k, energy_norm(K_out, corrector)))
+        nodes, K_out = assemble_stiffness(mesh, ctx.coef, region=region)
+        # widened to full length, the dot product sums as over the whole mesh
+        Kq = np.zeros(mesh.fine.num_nodes)
+        Kq[nodes] = K_out @ corrector[nodes]
+        out.append((k, float(np.sqrt(max(corrector @ Kq, 0.0)))))
     return out

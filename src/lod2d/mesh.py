@@ -183,21 +183,35 @@ class _Level:
         return np.column_stack([(ci + off) * self.h, (cj + off) * self.h])
 
 
+def level_ratio(coarse_level, fine_level):
+    """H/h of a level pair; requires 1 <= coarse_level < fine_level <= 12."""
+    if not (1 <= coarse_level < fine_level <= 12):
+        raise ParameterError(
+            f"need 1 <= coarse_level < fine_level <= 12, got ({coarse_level}, {fine_level})"
+        )
+    return 2 ** (fine_level - coarse_level)
+
+
+def delta_steps(delta, ratio):
+    """The integer m with delta = m*h/H; requires 1 <= m <= H/h = ``ratio``."""
+    m = Fraction(delta) * ratio
+    if m.denominator != 1 or not (1 <= m <= ratio):
+        raise ParameterError(
+            f"delta={delta} is not representable as m*h/H with 1 <= m <= {ratio}"
+        )
+    return int(m)
+
+
 class MeshHierarchy:
     """Coarse/fine pair of nested structured triangulations with patch machinery."""
 
     def __init__(self, coarse_level, fine_level, boundary):
-        if not (1 <= coarse_level < fine_level <= 12):
-            raise ParameterError(
-                f"need 1 <= coarse_level < fine_level <= 12, "
-                f"got ({coarse_level}, {fine_level})"
-            )
+        self.ratio = level_ratio(coarse_level, fine_level)
         self.coarse_level = coarse_level
         self.fine_level = fine_level
         self.boundary = boundary
         self.coarse = _Level(coarse_level)
         self.fine = _Level(fine_level)
-        self.ratio = 2 ** (fine_level - coarse_level)
         self.H = self.coarse.h
         self.h = self.fine.h
         self._prolongation = None
@@ -366,14 +380,9 @@ def scaled_node_patch(mesh: MeshHierarchy, z, delta) -> ElementSet:
     iff its three vertices do; membership is exact integer arithmetic.
     """
     r = mesh.ratio
-    m = Fraction(delta) * r
-    if m.denominator != 1 or not (1 <= m <= r):
-        raise ParameterError(
-            f"delta={delta} is not representable as m*h/H with 1 <= m <= {r}"
-        )
+    m = delta_steps(delta, r)
     if not (0 <= z < mesh.coarse.num_nodes):
         raise ParameterError(f"coarse node {z} out of range")
-    m = int(m)
     zi, zj = (r * c for c in mesh.coarse.node_ij(z))
     nf = mesh.fine.n
     gi, gj = np.meshgrid(np.arange(max(zi - m, 0), min(zi + m, nf)),

@@ -3,21 +3,73 @@ import pytest
 import scipy.sparse as sparse
 
 from lod2d.assembly import (
+    MASS_LOCAL_UNIT_AREA,
+    STIFFNESS_LOCAL,
     BilinearFormContext,
     LoadSpec,
+    SaddleSystem,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     _kkt_matrix,
     _row_normalized,
     energy_norm,
-    local_stiffness,
-    solve_saddle,
     solve_spd,
 )
 from lod2d.coefficient import Coefficient, gen_random_field
-from lod2d.errors import ConstraintDegeneracyError, ParameterError
+from lod2d.errors import ParameterError, SolverError
 from lod2d.mesh import BoundarySpec, build_hierarchy
+
+
+class ConstraintDegeneracyError(SolverError):
+    """Constraint matrix is rank deficient after zero-row pruning."""
+
+    def __init__(self, message, offending_rows=()):
+        super().__init__(message)
+        self.offending_rows = tuple(offending_rows)
+
+
+def solve_saddle(K, C, b):
+    """Solve the KKT system K u + C^T lam = b, C u = 0 for one right-hand side.
+
+    Zero constraint rows are pruned and their multipliers come back as
+    zero.  Linearly dependent rows raise ConstraintDegeneracyError
+    naming the rows a maximal independent subset leaves out.
+    """
+    system = SaddleSystem(K, C)
+    if len(system.dropped_rows):
+        dropped = [int(r) for r in system.dropped_rows]
+        raise ConstraintDegeneracyError(
+            f"constraint matrix rank deficient; dependent rows {dropped}",
+            offending_rows=dropped,
+        )
+    u, lam = system.solve(np.asarray(b, dtype=float)[:, None])
+    return u[:, 0], lam[:, 0]
+
+
+def _full_size_scatter(verts, n, local, scale):
+    """Sum scale[e] * local over elements with vertex rows ``verts`` into an n x n CSR."""
+    rows = np.repeat(verts, 3, axis=1).ravel()
+    cols = np.tile(verts, (1, 3)).ravel()
+    vals = (scale[:, None, None] * local[None, :, :]).ravel()
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def full_size_stiffness(mesh, coef=None, region=None):
+    """Reference: the region's stiffness as an n_fine x n_fine matrix."""
+    elems = np.arange(mesh.fine.num_elements) if region is None else np.asarray(region)
+    a = np.ones(len(elems)) if coef is None else coef.values()[elems]
+    return _full_size_scatter(mesh.fine.elements[elems], mesh.fine.num_nodes, STIFFNESS_LOCAL, a)
+
+
+def full_size_mass(mesh, region=None, weight=None):
+    """Reference: the region's (weighted) mass as an n_fine x n_fine matrix."""
+    elems = np.arange(mesh.fine.num_elements) if region is None else np.asarray(region)
+    area = mesh.h**2 / 2.0
+    w = np.full(len(elems), area) if weight is None else weight.values()[elems] * area
+    return _full_size_scatter(
+        mesh.fine.elements[elems], mesh.fine.num_nodes, MASS_LOCAL_UNIT_AREA, w
+    )
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +84,41 @@ def hand_element_stiffness():
 
 
 def test_single_element_stiffness(mesh):
-    K = assemble_stiffness(mesh, region=np.array([0]))
-    verts = mesh.fine.elements[0]
+    nodes, K = assemble_stiffness(mesh, region=np.array([0]))
+    verts = np.searchsorted(nodes, mesh.fine.elements[0])
     local = K[np.ix_(verts, verts)].toarray()
     assert np.array_equal(local, hand_element_stiffness())
 
 
-def test_local_stiffness_is_the_global_block(mesh):
+def test_region_matrices_are_the_full_size_blocks(mesh):
+    """Each region matrix is, array for array, the block of the full-size
+    scatter at the region's nodes, explicit zeros included."""
     coef = gen_random_field(mesh, 1e-2, 3)
-    elems = np.arange(40, 72)
-    nodes, K_local = local_stiffness(mesh, coef, elems)
-    K = assemble_stiffness(mesh, coef, region=elems)
-    assert np.array_equal(nodes, np.unique(mesh.fine.elements[elems]))
-    block = K[nodes][:, nodes]
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(K_local, attr), getattr(block, attr))
+    rng = np.random.default_rng(7)
+    regions = [None, np.arange(40, 72)]
+    for _ in range(8):
+        size = rng.integers(1, mesh.fine.num_elements)
+        regions.append(np.sort(rng.choice(mesh.fine.num_elements, size=size, replace=False)))
+    for region in regions:
+        elems = np.arange(mesh.fine.num_elements) if region is None else region
+        want_nodes = np.unique(mesh.fine.elements[elems])
+        cases = [
+            (assemble_stiffness(mesh, region=region), full_size_stiffness(mesh, region=region)),
+            (assemble_stiffness(mesh, coef, region), full_size_stiffness(mesh, coef, region)),
+            (assemble_mass(mesh, region), full_size_mass(mesh, region)),
+            (assemble_mass(mesh, region, coef), full_size_mass(mesh, region, coef)),
+        ]
+        for (nodes, local), full in cases:
+            assert np.array_equal(nodes, want_nodes)
+            block = full[nodes][:, nodes]
+            for attr in ("data", "indices", "indptr"):
+                got, want = getattr(local, attr), getattr(block, attr)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(assemble_stiffness(mesh)[0], np.arange(mesh.fine.num_nodes))
 
 
 def test_stiffness_kernel_and_symmetry(mesh):
-    K = assemble_stiffness(mesh)
+    _, K = assemble_stiffness(mesh)
     assert np.abs(K @ np.ones(mesh.fine.num_nodes)).max() == 0.0
     assert abs(K - K.T).nnz == 0
 
@@ -58,16 +126,16 @@ def test_stiffness_kernel_and_symmetry(mesh):
 def test_stiffness_alpha_scaling(mesh):
     alpha = 0.37
     coef = Coefficient(alpha, np.zeros(mesh.fine.num_elements, bool))
-    K1 = assemble_stiffness(mesh)
-    Ka = assemble_stiffness(mesh, coef)
+    _, K1 = assemble_stiffness(mesh)
+    _, Ka = assemble_stiffness(mesh, coef)
     assert abs(Ka - alpha * K1).nnz == 0
 
 
 def test_unit_reference_mass():
     # one fine element scaled to the unit triangle: mass = (1/24)[[2,1,1],...]
     m = build_hierarchy(1, 2, BoundarySpec.all_edges())
-    M = assemble_mass(m, region=np.array([0]))
-    verts = m.fine.elements[0]
+    nodes, M = assemble_mass(m, region=np.array([0]))
+    verts = np.searchsorted(nodes, m.fine.elements[0])
     local = M[np.ix_(verts, verts)].toarray()
     unit = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
     area_ratio = (m.h**2 / 2) / 0.5
@@ -75,29 +143,29 @@ def test_unit_reference_mass():
 
 
 def test_mass_partition_of_unity(mesh):
-    M = assemble_mass(mesh)
+    _, M = assemble_mass(mesh)
     assert M.sum() == pytest.approx(1.0, abs=1e-14)
     region = mesh.fine_elements_of_coarse([0, 1])
-    M2 = assemble_mass(mesh, region=region)
+    _, M2 = assemble_mass(mesh, region=region)
     assert M2.sum() == pytest.approx(mesh.H**2, abs=1e-15)
 
 
 def test_weighted_mass_scaling(mesh):
     alpha = 0.125
     coef = Coefficient(alpha, np.zeros(mesh.fine.num_elements, bool))
-    M = assemble_mass(mesh)
-    Mw = assemble_mass(mesh, weight=coef)
+    _, M = assemble_mass(mesh)
+    _, Mw = assemble_mass(mesh, weight=coef)
     assert abs(Mw - alpha * M).nnz == 0
 
 
 def test_mixed_mass_fine_partition_of_unity(mesh):
     region = mesh.fine_elements_of_coarse([5])
-    P = mesh.prolongation_matrix
-    mixed = P.T @ assemble_mass(mesh, region=region)
-    got = mixed @ np.ones(mesh.fine.num_nodes)
+    nodes, M = assemble_mass(mesh, region=region)
+    P = mesh.prolongation_matrix[nodes]
+    mixed = P.T @ M
+    got = mixed @ np.ones(len(nodes))
     # per coarse node: integral of its hat over the region
-    M = assemble_mass(mesh, region=region)
-    expected = P.T @ (M @ np.ones(mesh.fine.num_nodes))
+    expected = P.T @ (M @ np.ones(len(nodes)))
     assert np.abs(got - expected).max() < 1e-15
     assert got.sum() == pytest.approx(mesh.H**2 / 2, abs=1e-15)
 
@@ -107,7 +175,7 @@ def test_mixed_mass_two_integration_paths(mesh):
     rng = np.random.default_rng(3)
     c = rng.standard_normal(mesh.coarse.num_nodes)
     P = mesh.prolongation_matrix
-    mixed = P.T @ assemble_mass(mesh)
+    mixed = P.T @ assemble_mass(mesh)[1]
     lhs = mixed @ (P @ c)
     # direct coarse P1 mass: exact elementwise formula on the coarse level
     area = mesh.H**2 / 2
@@ -130,7 +198,7 @@ def test_load_constant_and_rectangle(mesh):
 def test_load_hat_is_mass_column(mesh):
     load = assemble_load(mesh, LoadSpec.hat(0.5, 0.125))
     node = mesh.fine.node_index(16, 4)
-    M = assemble_mass(mesh)
+    _, M = assemble_mass(mesh)
     assert np.abs(load - M[:, node].toarray().ravel()).max() == 0.0
 
 
@@ -154,7 +222,7 @@ def test_solve_spd_against_dense_oracle(mesh):
 
 
 def test_solve_spd_constrained(mesh):
-    K = assemble_stiffness(mesh)
+    _, K = assemble_stiffness(mesh)
     b = assemble_load(mesh, LoadSpec.constant(1.0))
     constrained = np.flatnonzero(mesh.constrained_fine_mask)
     u = solve_spd(K, b, constrained)
@@ -183,7 +251,7 @@ def test_kkt_pieces_match_scipy_products(mesh):
     """The row scaling and the KKT block matrix are built directly, entry
     for entry as diag(1 / norms) @ C and sparse.bmat build them."""
     coef = gen_random_field(mesh, 1e-3, 4)
-    K = assemble_stiffness(mesh, coef)  # stores explicit zeros on hypotenuses
+    _, K = assemble_stiffness(mesh, coef)  # stores explicit zeros on hypotenuses
     dofs = np.flatnonzero(~mesh.constrained_fine_mask)[:200]
     K = K[dofs][:, dofs]
     rng = np.random.default_rng(5)
@@ -280,7 +348,7 @@ def test_saddle_delivers_minimizer():
 
 
 def test_energy_norm_cases(mesh):
-    K = assemble_stiffness(mesh)
+    _, K = assemble_stiffness(mesh)
     assert energy_norm(K, np.zeros(mesh.fine.num_nodes)) == 0.0
     assert energy_norm(K, np.ones(mesh.fine.num_nodes)) == 0.0
     x1 = mesh.fine.points[:, 0].copy()
@@ -290,8 +358,8 @@ def test_energy_norm_cases(mesh):
 def test_energy_norm_coefficient_scaling(mesh):
     c = 0.0625
     coef = Coefficient(c, np.zeros(mesh.fine.num_elements, bool))
-    K1 = assemble_stiffness(mesh)
-    Kc = assemble_stiffness(mesh, coef)
+    _, K1 = assemble_stiffness(mesh)
+    _, Kc = assemble_stiffness(mesh, coef)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(mesh.fine.num_nodes)
     assert energy_norm(Kc, v) == pytest.approx(np.sqrt(c) * energy_norm(K1, v), rel=1e-12)

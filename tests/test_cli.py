@@ -9,7 +9,9 @@ import pytest
 import lod2d
 from lod2d.cli import cli
 from lod2d.coefficient import load_pgm
+from lod2d import harness
 from lod2d.harness import read_csv
+from lod2d.lod import solve_multiscale
 from lod2d.mesh import BoundarySpec, build_hierarchy
 
 TINY = """
@@ -177,9 +179,20 @@ def test_python_dash_m_entry_points(tmp_path):
         "empty-csv-value",
         "csv-path-is-directory",
         "output-under-a-file",
+        "bad-delta-third-stripes",
+        "bad-delta-two-stripes",
+        "bad-delta-third-field",
+        "bad-delta-two-field",
     ],
 )
-def test_malformed_input_exits_one(tmp_path, capsys, case):
+def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
+    cells = []
+
+    def counting_solve(*args, **kwargs):
+        cells.append(1)
+        return solve_multiscale(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_multiscale", counting_solve)
     cfg = write_config(tmp_path)
     decay = ["decay", str(cfg), str(tmp_path / "d.csv")]
     csv = tmp_path / "res.csv"
@@ -214,6 +227,15 @@ def test_malformed_input_exits_one(tmp_path, capsys, case):
         argv = ["run", str(write_config(tmp_path, "csv =\n"))]
     elif case == "csv-path-is-directory":
         argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}\n"))]
+    elif case.startswith("bad-delta-"):
+        # rejected with the config, before kappa, decay or run do any work
+        delta = {"third": "1/3", "two": "2"}[case.split("-")[2]]
+        base = TINY.replace("field", case.split("-")[3]).replace("SZ,nodal", "IH,SZ")
+        base = base.replace("fine_level = 4", "fine_level = 6")  # stripes need h <= 1/64
+        cfg = write_config(tmp_path, f"delta = {delta}\ncsv = {tmp_path}/d.csv\n", base=base)
+        assert cli(["kappa", str(cfg), str(tmp_path / "k.csv")]) == 1
+        assert cli(["decay", str(cfg), str(tmp_path / "d.csv")]) == 1
+        argv = ["run", str(cfg)]
     elif case == "output-under-a-file":
         (tmp_path / "file").write_text("")
         argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]
@@ -222,12 +244,16 @@ def test_malformed_input_exits_one(tmp_path, capsys, case):
     else:
         argv = decay + ["--k-max", "-1"]
     assert cli(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if case.startswith("bad-delta-"):
+        assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()
+    assert cells == []  # no sweep cell ran
 
 
 def test_decay_honours_config_delta(tmp_path, capsys):
-    # delta = 3/8 is not representable at H/h = 4, so IH fails once delta is read
+    # delta = 3/8 is not representable at H/h = 4, so the config is rejected
     args = ["--operator", "IH", "--k-max", "1"]
     assert cli(["decay", str(write_config(tmp_path)), str(tmp_path / "d.csv"), *args]) == 0
     cfg = write_config(tmp_path, "delta = 3/8\n")

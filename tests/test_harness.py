@@ -7,7 +7,7 @@ import pytest
 
 import lod2d.harness as harness
 from lod2d.assembly import LoadSpec
-from lod2d.errors import ParameterError
+from lod2d.errors import DegenerateSigmaError, ParameterError
 from lod2d.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -20,6 +20,7 @@ from lod2d.harness import (
     run_experiment,
     write_csv,
 )
+from lod2d.interp import build_operator
 
 
 def tiny_config(tmp_path, **overrides):
@@ -95,6 +96,14 @@ def test_config_validation():
         ExperimentConfig(**{**good, "coefficient": "checkers"})
     with pytest.raises(ParameterError, match="missing"):
         ExperimentConfig.from_mapping({"coarse_level": 2})
+    with pytest.raises(ParameterError, match="coarse_level < fine_level"):
+        ExperimentConfig(**{**good, "fine_level": 2})
+    # delta must be m*h/H with 1 <= m <= H/h = 4
+    for delta in (Fraction(1, 4), Fraction(3, 4), Fraction(1)):
+        ExperimentConfig(**{**good, "delta": delta})
+    for delta in (Fraction(1, 3), Fraction(3, 8), Fraction(2), Fraction(0), Fraction(-1, 4)):
+        with pytest.raises(ParameterError, match=f"delta={delta} is not representable"):
+            ExperimentConfig(**{**good, "delta": delta})
 
 
 def test_paper_shaped_sweep_has_216_cells():
@@ -126,9 +135,15 @@ def test_run_experiment_writes_sorted_csv(tmp_path):
     assert all(r.wall_time_s == 0.0 for r in rows)
 
 
-def test_run_experiment_records_failures_without_dropping_rows(tmp_path):
-    # delta = 3/8 is not representable at H/h = 4: IH cells fail, the rest run
-    config = tiny_config(tmp_path, operators=("IH", "SZ"), delta=Fraction(3, 8))
+def test_run_experiment_records_failures_without_dropping_rows(tmp_path, monkeypatch):
+    # the IH build fails (a degenerate dual system): IH cells fail, the rest run
+    def failing_ih(kind, *args, **kwargs):
+        if kind == "IH":
+            raise DegenerateSigmaError("IH: node 0: forced")
+        return build_operator(kind, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_operator", failing_ih)
+    config = tiny_config(tmp_path, operators=("IH", "SZ"))
     rows = run_experiment(config)
     assert len(rows) == len(config.sweep_cells())
     ih_rows = [r for r in rows if r.operator == "IH"]

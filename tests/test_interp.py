@@ -18,6 +18,7 @@ from lod2d.interp import (
     quasi_monotone_region,
 )
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, node_patch
+from test_assembly import full_size_mass
 
 
 def _reachable_bfs(mesh, allowed, seeds, values=None):
@@ -139,7 +140,8 @@ def test_kappa_edge_strip(mesh17):
 def kappa_from_determinants(mesh, sigma, own_node):
     """kappa from the Gram determinant ratio, an evaluation path independent of the solve."""
     idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
-    _, M = _coarse_gram(mesh, assemble_mass(mesh, region=idx), own_node)
+    nodes, mass = assemble_mass(mesh, region=idx)
+    _, M = _coarse_gram(mesh.prolongation_matrix[nodes], mass, own_node)
     sign, logdet = np.linalg.slogdet(M)
     sign11, logdet11 = np.linalg.slogdet(M[1:, 1:]) if M.shape[0] > 1 else (1.0, 0.0)
     assert sign > 0 and sign11 > 0, "Gram determinant not positive"
@@ -180,8 +182,8 @@ def test_dual_basis_duality_on_node_patch(mesh36):
     sigma = mesh36.fine_set(node_patch(mesh36, z))
     support, xi, _ = dual_basis(mesh36, sigma, z)
     # N(phi_own) = 1, N(phi_neighbor) = 0: integrate psi against each hat
-    P = mesh36.prolongation_matrix
-    M = assemble_mass(mesh36, region=sigma.indices)
+    nodes, M = assemble_mass(mesh36, region=sigma.indices)
+    P = mesh36.prolongation_matrix[nodes]
     psi = P[:, support] @ xi
     for pos, j in enumerate(support):
         integral = psi @ (M @ P[:, j].toarray().ravel())
@@ -353,7 +355,7 @@ def test_dual_rows_come_from_one_sigma_mass(monkeypatch, family):
         for i, nv in enumerate(op.node_variables):
             w = np.zeros(mesh.coarse.num_nodes)
             w[nv.support_nodes] = nv.xi
-            want = assemble_mass(mesh, region=nv.sigma.indices, weight=weight) @ (P @ w)
+            want = full_size_mass(mesh, region=nv.sigma.indices, weight=weight) @ (P @ w)
             assert np.array_equal(op.matrix.getrow(i).toarray().ravel(), want), (kind, i)
             assert np.isnan(nv.kappa) == (weight is not None), (kind, i)
 

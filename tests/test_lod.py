@@ -387,6 +387,34 @@ def test_decay_profile_monotone_and_saturating(small):
     assert energies[-1] == 0.0
 
 
+# energies outside U_k(T), k = 0..saturation, of the IH corrector below
+PINNED_DECAY_STRIPES_IH = [
+    0.18216654445578648,
+    0.09287152295881569,
+    0.00020729148550534702,
+    1.209794363114928e-10,
+    0.0, 0.0, 0.0, 0.0, 0.0,
+]
+
+
+def test_decay_profile_pinned():
+    """The outside stiffness is assembled on its own nodes; the energies
+    stay the full-size assembly's to the last bit."""
+    mesh = build_hierarchy(2, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 1e-3)
+    ctx = BilinearFormContext(mesh, coef)
+    op = build_operator("IH", mesh, coef)
+    nc = mesh.coarse.n
+    T = 2 * ((nc // 2) * nc + nc // 2)
+    i = next(int(v) for v in mesh.coarse.elements[T] if v in op.free_nodes)
+    q = element_corrector(ctx, op, i, T, k=None)
+    profile = decay_profile(ctx, q, T, saturation_k(mesh))
+    assert [k for k, _ in profile] == list(range(saturation_k(mesh) + 1))
+    np.testing.assert_allclose(
+        [e for _, e in profile], PINNED_DECAY_STRIPES_IH, rtol=0, atol=0
+    )
+
+
 def test_decay_slopes_contrast_robustness():
     """With a node row in every stripe (H = 1/16), the geometry-induced
     operator decays at a contrast-independent rate while the full-patch
