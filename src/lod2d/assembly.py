@@ -274,6 +274,7 @@ class SaddleSystem:
         if len(kept) < len(nonzero):
             self.C, self.norms = self.C[kept], self.norms[kept]
         self.m = len(self.rows)
+        self.Ct = self.C.T
         try:
             self.lu = spla.splu(_kkt_matrix(self.K, self.C))
         except RuntimeError as exc:
@@ -292,7 +293,7 @@ class SaddleSystem:
         # column by column keeps every result equal to a single solve's.
         sol = np.column_stack([self.lu.solve(col) for col in rhs.T])
         U, lam = sol[: self.n], sol[self.n :]
-        r1 = np.linalg.norm(self.K @ U + self.C.T @ lam - B, axis=0)
+        r1 = np.linalg.norm(self.K @ U + self.Ct @ lam - B, axis=0)
         r2 = np.linalg.norm(self.C @ U, axis=0)
         scale = np.linalg.norm(B, axis=0) + 1.0
         bad = np.flatnonzero(np.maximum(r1, r2) > SADDLE_RTOL * scale)
@@ -315,6 +316,7 @@ class BilinearFormContext:
         self.coef = coef
         self.stiffness = assemble_stiffness(mesh, coef)[1]
         self.constrained_fine = np.flatnonzero(mesh.constrained_fine_mask)
+        self.element_rhs = {}  # lod's element right-hand-side blocks, under mesh.patch_lock
 
     def energy_norm(self, v):
         return energy_norm(self.stiffness, v)

@@ -303,7 +303,7 @@ def _prepare_outputs(config: ExperimentConfig):
     """Create the output directories; a csv path that is a directory is an error."""
     if config.csv and Path(config.csv).is_dir():
         raise ParameterError(f"csv path {config.csv} is a directory")
-    for path in (config.csv, config.svg_prefix):
+    for path in (config.csv, config.svg_prefix and f"{config.svg_prefix}.svg"):
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
 
@@ -495,9 +495,8 @@ def _render_panel(operator, rows):
 
 def emit_svg(rows, prefix):
     """Write one SVG per operator (axes-only placeholder when there are no rows)."""
-    prefix = Path(prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    # a prefix that ends in a path separator ("out/") names the panels' directory
+    Path(f"{prefix}.svg").parent.mkdir(parents=True, exist_ok=True)
     paths = []
     operators = sorted({r.operator for r in rows})
     if not operators:

@@ -20,6 +20,7 @@ and the coverage count run on one fine-element graph
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,14 @@ class InterpOperator:
 
     def apply(self, v):
         return self.matrix @ v
+
+    @cached_property
+    def matrix_csc(self):
+        """Read-only CSC copy of ``matrix``, from which patches cut their columns."""
+        R = self.matrix.tocsc()
+        for a in (R.data, R.indices, R.indptr):
+            a.flags.writeable = False
+        return R
 
 
 def _coarse_gram(P_rows, mass, own_node):

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .assembly import (
-    BilinearFormContext,
     SaddleSystem,
     assemble_load,
     assemble_stiffness,
@@ -45,81 +44,110 @@ def _resolve_k(mesh, k):
     return min(k, saturation_k(mesh))
 
 
-def _patch_free_dofs(ctx: BilinearFormContext, patch: ElementSet):
-    """Fine DOFs free on the patch: hats supported inside it, minus Dirichlet.
-
-    A node qualifies iff every fine element incident to it belongs to
-    the patch; nodes on the patch boundary that coincide with the
-    Neumann part of the domain boundary qualify automatically because
-    they have no incident elements outside.
-    """
+def _patch_dofs(ctx, T, k):
+    """Free fine DOFs (int32, read-only) of the k-layer patch of coarse element T,
+    cached on the mesh per (T, k), one array per distinct patch: the non-Dirichlet
+    nodes whose incident fine elements all lie in the patch (so Neumann boundary
+    nodes qualify)."""
     mesh = ctx.mesh
-    fine_els = mesh.fine_elements_of_coarse(patch.indices)
-    verts = mesh.fine.elements[fine_els].ravel()
-    inside_count = np.bincount(verts, minlength=mesh.fine.num_nodes)
-    indptr, _ = mesh.fine.node_to_elements
-    total_count = np.diff(indptr)
-    free = (inside_count == total_count) & (inside_count > 0)
-    free[ctx.constrained_fine] = False
-    return np.flatnonzero(free), fine_els
+    with mesh.patch_lock:
+        if (T, k) not in mesh.patch_dofs:
+            patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
+            key = np.packbits(patch.mask(mesh.coarse.num_elements)).tobytes()
+            if key not in mesh.patch_dofs:
+                verts = mesh.fine.elements[mesh.fine_elements_of_coarse(patch.indices)]
+                inside = np.bincount(verts.ravel(), minlength=mesh.fine.num_nodes)
+                free = (inside == np.diff(mesh.fine.node_to_elements[0])) & (inside > 0)
+                free[ctx.constrained_fine] = False
+                mesh.patch_dofs[key] = np.flatnonzero(free).astype(np.int32)
+                mesh.patch_dofs[key].flags.writeable = False
+            mesh.patch_dofs[(T, k)] = mesh.patch_dofs[key]
+        return mesh.patch_dofs[(T, k)]
 
 
-def _element_dofs(ctx, T, k):
-    """Free fine DOFs of the k-layer patch of coarse element T."""
-    patch = element_patch(ctx.mesh, ElementSet(ctx.mesh.coarse_level, [T]), k)
-    return _patch_free_dofs(ctx, patch)[0]
+def _element_rhs(ctx, T):
+    """T's free fine nodes and the rows K_T @ P of them for T's three vertices, with
+    K_T T's stiffness on its own nodes: read-only, cached on the context per T."""
+    mesh = ctx.mesh
+    with mesh.patch_lock:
+        if T not in ctx.element_rhs:
+            nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
+            KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, mesh.coarse.elements[T]]
+            free = ~np.isin(nodes, ctx.constrained_fine, kind="table")
+            ctx.element_rhs[T] = nodes[free], KP[free]
+            for a in ctx.element_rhs[T]:
+                a.flags.writeable = False
+        return ctx.element_rhs[T]
 
 
-def _patch_system(ctx, op, dofs):
-    """The local inputs of a patch's SaddleSystem on the free DOFs ``dofs``:
-    the patch stiffness and the operator rows with a stored entry there."""
-    C = op.matrix[:, dofs]
-    return ctx.stiffness[dofs][:, dofs], C[np.flatnonzero(np.diff(C.indptr) > 0)]
+def _patch_cut(ctx, op, dofs):
+    """Raw CSR arrays ``(data, indices, indptr, shape)`` of a patch system's inputs:
+    ``K[dofs][:, dofs]`` and the rows of ``op.matrix[:, dofs]`` with a stored
+    entry, equal dtype for dtype to scipy's slicing.  Only the patch's rows of
+    K and columns of R (from its CSC copy, sorted stably back into rows) are read."""
+
+    def gather(indptr):  # positions of the stored entries of the slots dofs, and counts
+        counts = indptr[dofs + 1] - indptr[dofs]
+        starts = np.repeat(indptr[dofs] - np.cumsum(counts) + counts, counts)
+        return np.arange(counts.sum()) + starts, counts
+
+    K, R, n = ctx.stiffness, op.matrix_csc, len(dofs)
+    pos = np.full(K.shape[1], -1, dtype=np.int32)
+    pos[dofs] = np.arange(n, dtype=np.int32)
+    take, counts = gather(K.indptr)
+    cols = pos[K.indices[take]]
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(counts)])]
+    K_cut = (K.data[take[keep]], cols[keep], indptr.astype(np.int32), (n, n))
+    take, counts = gather(R.indptr)
+    order = np.argsort(R.indices[take], kind="stable")
+    take, cols = take[order], np.repeat(np.arange(n, dtype=np.int32), counts)[order]
+    starts = np.flatnonzero(np.diff(R.indices[take], prepend=-1))
+    return K_cut, (R.data[take], cols, np.append(starts, len(take)).astype(np.int32), (len(starts), n))
 
 
 def _system_digest(K, C):
-    """128-bit content key of a patch system's local inputs (K, C).
+    """SHA-256 content key of a patch system's raw inputs (K, C).
 
     Two patches with equal keys have equal local stiffness and
     constraint rows, array for array, and so the same factorization.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for M in (K, C):
-        h.update(f"{M.shape}{M.indptr.dtype}{M.indices.dtype}{M.data.dtype};".encode())
-        for a in (M.indptr, M.indices, M.data):
+    h = hashlib.sha256()
+    for data, indices, indptr, shape in (K, C):
+        h.update(f"{shape}{indptr.dtype}{indices.dtype}{data.dtype};".encode())
+        for a in (indptr, indices, data):
             h.update(memoryview(a))  # contiguous arrays, hashed without a copy
     return h.digest()
+
+
+def _saddle_system(cut):
+    return SaddleSystem(*(sparse.csr_matrix(M[:3], shape=M[3]) for M in cut))
 
 
 def _element_solve(ctx, system, T, dofs, verts, load=None):
     """Solve coarse element T's right-hand sides with its patch system.
 
-    The corrector right-hand sides of the coarse hats ``verts`` come
-    from T's element stiffness, assembled on T's own fine nodes and
-    scattered into the rows of the patch DOFs ``dofs``; ``load``, the
-    element-restricted load on ``dofs``, when given, is the last
-    column.  Returns one solution column per right-hand side.
+    The hats ``verts`` take their columns of T's element block, in the rows of
+    the patch DOFs ``dofs`` holding T's free nodes (all of them, for k >= 1),
+    and ``load`` on ``dofs``, when given, is the last column.
     """
-    mesh = ctx.mesh
-    columns = []
+    B = np.zeros((len(dofs), len(verts) + (load is not None)))
     if verts:
-        nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
-        KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, verts]
-        pos = np.minimum(np.searchsorted(dofs, nodes), len(dofs) - 1)
-        inside = dofs[pos] == nodes
-        block = np.zeros((len(dofs), len(verts)))
-        block[pos[inside]] = KP[inside]
-        columns.append(block)
+        nodes, KP = _element_rhs(ctx, T)
+        cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
+        B[np.searchsorted(dofs, nodes), : len(verts)] = KP[:, cols]
     if load is not None:
-        columns.append(load[:, None])
-    return system.solve(np.hstack(columns))[0]
+        B[:, -1] = load
+    return system.solve(B)[0]
 
 
 def _single_element_solve(ctx, op, T, k, verts, load=None):
-    """Factorize T's patch system and solve its right-hand sides: (dofs, U)."""
-    dofs = _element_dofs(ctx, T, _resolve_k(ctx.mesh, k))
-    system = SaddleSystem(*_patch_system(ctx, op, dofs))
-    return dofs, _element_solve(ctx, system, T, dofs, verts, None if load is None else load[dofs])
+    """T's own patch solution for the hats ``verts`` or ``load``, on all fine nodes."""
+    dofs = _patch_dofs(ctx, T, _resolve_k(ctx.mesh, k))
+    system = _saddle_system(_patch_cut(ctx, op, dofs))
+    out = np.zeros(ctx.mesh.fine.num_nodes)
+    out[dofs] = _element_solve(ctx, system, T, dofs, verts, None if load is None else load[dofs])[:, 0]
+    return out
 
 
 def element_corrector(ctx, op, i, T, k=INFINITE_K):
@@ -135,10 +163,7 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
         raise ParameterError(f"coarse element {T} out of range")
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
-    dofs, U = _single_element_solve(ctx, op, T, k, [int(i)])
-    out = np.zeros(mesh.fine.num_nodes)
-    out[dofs] = U[:, 0]
-    return out
+    return _single_element_solve(ctx, op, T, k, [int(i)])
 
 
 def rhs_corrector(ctx, op, T, k, f_spec):
@@ -147,19 +172,17 @@ def rhs_corrector(ctx, op, T, k, f_spec):
     mesh = ctx.mesh
     k = _resolve_k(mesh, k)
     load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
-    out = np.zeros(mesh.fine.num_nodes)
-    if load.any():
-        dofs, U = _single_element_solve(ctx, op, T, k, [], load)
-        out[dofs] = U[:, 0]
-    return out
+    if not load.any():
+        return np.zeros(mesh.fine.num_nodes)
+    return _single_element_solve(ctx, op, T, k, [], load)
 
 
 @dataclass
 class CorrectorSet:
     """Per free coarse node corrector vectors, summed over owning elements.
 
-    ``factorizations`` counts the patch systems factorized and
-    ``element_solves`` the coarse elements solved with one of them.
+    ``factorizations`` counts the patch systems factorized, ``element_solves``
+    the coarse elements solved with them, ``dropped_rows`` the rows they dropped.
     """
 
     k: int
@@ -168,6 +191,7 @@ class CorrectorSet:
     matrix: sparse.csr_matrix  # (n_free, n_fine); row i holds Q_k phi_i
     factorizations: int
     element_solves: int
+    dropped_rows: int
 
 
 def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
@@ -196,8 +220,8 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
             load = load if load.any() else None
         if not verts and load is None:
             continue
-        dofs = _element_dofs(ctx, T, k)
-        digest = _system_digest(*_patch_system(ctx, op, dofs))
+        dofs = _patch_dofs(ctx, T, k)
+        digest = _system_digest(*_patch_cut(ctx, op, dofs))
         work.append((digest, T, dofs, verts, None if load is None else load[dofs]))
 
     # Q's entries go in element order, vertex by vertex, into one block
@@ -207,15 +231,16 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
     q_cols = np.empty(offsets[-1], dtype=np.int32)
     q_vals = np.empty(offsets[-1])
 
-    factorizations = 0
+    factorizations = dropped_rows = 0
     system = digest_of_system = None
     for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
         digest, T, dofs, verts, load = work[idx]
         if digest != digest_of_system:
             system = None  # free the previous factorization before the next one
-            system = SaddleSystem(*_patch_system(ctx, op, dofs))
+            system = _saddle_system(_patch_cut(ctx, op, dofs))
             digest_of_system = digest
             factorizations += 1
+            dropped_rows += len(system.dropped_rows)
         U = _element_solve(ctx, system, T, dofs, verts, load)
         a, b = offsets[idx], offsets[idx + 1]
         q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
@@ -230,7 +255,7 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
     for _, _, dofs, _, u in work:
         if u is not None:
             u_f[dofs] += u
-    return CorrectorSet(k, op.kind, free, Q, factorizations, len(work)), u_f
+    return CorrectorSet(k, op.kind, free, Q, factorizations, len(work), dropped_rows), u_f
 
 
 @dataclass
@@ -276,6 +301,7 @@ def solve_multiscale(ctx, op, k, f_spec, rhs_correction=True) -> LodSolution:
             "f": f_spec.describe(),
             "factorizations": correctors.factorizations,
             "element_solves": correctors.element_solves,
+            "dropped_rows": correctors.dropped_rows,
         },
     )
 

@@ -18,6 +18,7 @@ patches are its balls.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,6 +218,8 @@ class MeshHierarchy:
         self._prolongation = None
         self._coarse_parent = None
         self._children = None
+        # lod's patch DOFs by (T, k) and by patch; the lock also guards ctx.element_rhs
+        self.patch_dofs, self.patch_lock = {}, threading.Lock()
 
     # -- boundary bookkeeping ------------------------------------------------
 

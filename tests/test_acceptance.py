@@ -23,7 +23,6 @@ from lod2d.interp import (
     kappa,
 )
 from lod2d.lod import (
-    _patch_free_dofs,
     reference_solution,
     relative_energy_error,
     solve_multiscale,
@@ -37,7 +36,7 @@ from lod2d.mesh import (
 )
 from test_assembly import solve_saddle
 from test_interp import is_quasi_monotone
-from test_lod import fit_log10_slope
+from test_lod import fit_log10_slope, patch_free_dofs
 
 RECT_LOAD = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
 
@@ -293,7 +292,7 @@ def test_criterion_8_saddle_point_oracle_equivalence():
         kind = list(OPERATOR_KINDS)[trial % len(OPERATOR_KINDS)]
         T = int(rng.integers(mesh.coarse.num_elements))
         patch = element_patch(mesh, ElementSet(2, [T]), 1)
-        dofs, _ = _patch_free_dofs(ctx, patch)
+        dofs, _ = patch_free_dofs(ctx, patch)
         assert len(dofs) <= 300
         K = ctx.stiffness[dofs][:, dofs]
         C = ops[kind].matrix[:, dofs].tocsr()

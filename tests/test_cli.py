@@ -118,6 +118,19 @@ def test_plot_subcommand(tmp_path):
     assert (tmp_path / "p_SZ.svg").exists()
 
 
+def test_svg_prefix_ending_in_separator_names_a_directory(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        f"csv = {tmp_path}/res.csv\nsvg_prefix = {tmp_path}/run/\ncache_dir = {tmp_path}/cache\n",
+    )
+    assert cli(["run", str(cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["SZ.svg", "nodal.svg"]
+    assert cli(["plot", str(tmp_path / "res.csv"), f"{tmp_path}/plot/"]) == 0
+    assert sorted(p.name for p in (tmp_path / "plot").iterdir()) == ["SZ.svg", "nodal.svg"]
+    assert cli(["plot", str(tmp_path / "res.csv"), f"{tmp_path}/plot/p_"]) == 0
+    assert (tmp_path / "plot" / "p_SZ.svg").exists()
+
+
 def test_plot_rejects_bad_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")

@@ -216,6 +216,21 @@ def test_emit_svg_skips_failed_rows(tmp_path):
     assert path.read_text().count("<circle") == 1
 
 
+def test_emit_svg_prefix_ending_in_separator_names_a_directory(tmp_path):
+    rows = [ResultRow("IH", 0.1, 1, 0.0625, 0.0078125, 1e-2, 0.0, 0, "ok")]
+    assert emit_svg(rows, f"{tmp_path}/out/") == [tmp_path / "out" / "IH.svg"]
+    assert emit_svg(rows, f"{tmp_path}/out/plot_") == [tmp_path / "out" / "plot_IH.svg"]
+    assert emit_svg([], f"{tmp_path}/empty/") == [tmp_path / "empty" / "empty.svg"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["IH.svg", "plot_IH.svg"]
+    assert not (tmp_path / "outIH.svg").exists()
+
+
+def test_run_experiment_creates_the_svg_directory(tmp_path):
+    config = tiny_config(tmp_path, ks=(1,), svg_prefix=f"{tmp_path}/panels/")
+    run_experiment(config)
+    assert sorted(p.name for p in (tmp_path / "panels").iterdir()) == ["SZ.svg", "nodal.svg"]
+
+
 @pytest.mark.parametrize(
     "content",
     [b"coarse_level = 2\ndelta = 1/0\n", b"coarse_level = \xff\xfe\n", None],

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import lod2d.lod as lod
 from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
-from lod2d.coefficient import Coefficient, gen_random_balls, gen_stripes
+from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
 from lod2d.interp import OPERATOR_KINDS, build_operator
 from lod2d.lod import (
     compute_correctors,
@@ -31,6 +35,26 @@ def fit_log10_slope(ks, values, floor=0.0):
     A = np.column_stack([k_fit, np.ones_like(k_fit)])
     slope, _ = np.linalg.lstsq(A, v_fit, rcond=None)[0]
     return float(slope)
+
+
+def patch_free_dofs(ctx, patch):
+    """Fine DOFs free on the patch, and the patch's fine elements: the
+    reference for the DOFs that lod caches on the mesh.
+
+    A node qualifies iff every fine element incident to it belongs to
+    the patch; nodes on the patch boundary that coincide with the
+    Neumann part of the domain boundary qualify automatically because
+    they have no incident elements outside.
+    """
+    mesh = ctx.mesh
+    fine_els = mesh.fine_elements_of_coarse(patch.indices)
+    verts = mesh.fine.elements[fine_els].ravel()
+    inside_count = np.bincount(verts, minlength=mesh.fine.num_nodes)
+    indptr, _ = mesh.fine.node_to_elements
+    total_count = np.diff(indptr)
+    free = (inside_count == total_count) & (inside_count > 0)
+    free[ctx.constrained_fine] = False
+    return np.flatnonzero(free), fine_els
 
 
 POISSON_SQUARE_PEAK = 0.0736713512666705  # -lap u = 1, zero boundary, u(1/2,1/2)
@@ -203,6 +227,133 @@ def test_factorization_counters(small, stripes_l3, monkeypatch):
     _, _, ctx_balls, op_balls = small
     sol = solve_multiscale(ctx_balls, op_balls, 1, f)
     assert sol.metadata["factorizations"] == sol.metadata["element_solves"] > 0
+
+
+def scipy_patch_cut(ctx, op, dofs):
+    """The patch system inputs as scipy's slicing cuts them: the reference for
+    the raw cuts."""
+    C = op.matrix[:, dofs]
+    return ctx.stiffness[dofs][:, dofs], C[np.flatnonzero(np.diff(C.indptr) > 0)]
+
+
+@pytest.mark.parametrize("coefficient", ["stripes", "field"])
+def test_raw_patch_cuts_equal_scipy_slicing(coefficient):
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 1e-3) if coefficient == "stripes" else gen_random_field(mesh, 1e-3, 1)
+    ctx = BilinearFormContext(mesh, coef)
+    elements = range(0, mesh.coarse.num_elements, 5)
+    for kind in OPERATOR_KINDS:
+        op = build_operator(kind, mesh, coef)
+        for k, T in itertools.product((1, 2, 3, saturation_k(mesh)), elements):
+            patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
+            dofs = patch_free_dofs(ctx, patch)[0]
+            assert np.array_equal(lod._patch_dofs(ctx, T, k), dofs)
+            cuts = lod._patch_cut(ctx, op, lod._patch_dofs(ctx, T, k))
+            for raw, ref in zip(cuts, scipy_patch_cut(ctx, op, dofs)):
+                assert raw[3] == ref.shape, (kind, k, T)
+                for a, b in zip(raw[:3], (ref.data, ref.indices, ref.indptr)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (kind, k, T)
+
+
+def test_shared_caches_match_fresh_objects():
+    """Correctors on one mesh, its contexts and operators, shared by two
+    alphas and two operators, equal those of fresh objects bit for bit."""
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+
+    def fresh(alpha, kind):
+        mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+        coef = gen_stripes(mesh, alpha)
+        return BilinearFormContext(mesh, coef), build_operator(kind, mesh, coef)
+
+    shared = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    contexts = {a: BilinearFormContext(shared, gen_stripes(shared, a)) for a in (1e-1, 1e-3)}
+    for alpha, kind in itertools.product((1e-1, 1e-3), ("IH", "SZ")):
+        ctx = contexts[alpha]
+        op = build_operator(kind, shared, ctx.coef)
+        for k in (1, 2):
+            got, u_f = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
+            ref, u_ref = compute_correctors(*fresh(alpha, kind), k, f_spec=f, rhs_correction=True)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got.matrix, attr), getattr(ref.matrix, attr))
+            assert np.array_equal(u_f, u_ref)
+    cached = list(shared.patch_dofs.values())
+    for ctx in contexts.values():
+        cached += [a for block in ctx.element_rhs.values() for a in block]
+    cached += [getattr(op.matrix_csc, attr) for attr in ("data", "indices", "indptr")]
+    assert cached and not any(a.flags.writeable for a in cached)
+
+
+def test_patch_bookkeeping_built_once_per_mesh_and_context(stripes_l3, monkeypatch):
+    mesh, coef, ctx = stripes_l3
+    calls = {"element_patch": 0, "assemble_stiffness": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(lod, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lod, name, counting)
+    k = saturation_k(mesh)
+    for kind in ("IH", "SZ"):
+        compute_correctors(ctx, build_operator(kind, mesh, coef), k)
+    assert calls["element_patch"] <= mesh.coarse.num_elements
+    assert calls["assemble_stiffness"] <= mesh.coarse.num_elements
+    # at saturation every patch is the whole mesh: one shared DOF array
+    saturated = {id(lod._patch_dofs(ctx, T, k)) for T in range(mesh.coarse.num_elements)}
+    assert len(saturated) == 1
+
+
+def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
+    """More threads than cores, switching every microsecond, share the mesh
+    and context caches: each entry is built once and every thread gets it."""
+    mesh = build_hierarchy(2, 5, BoundarySpec.all_edges())
+    ctx = BilinearFormContext(mesh, gen_random_balls(mesh, 0.05, 4))
+    calls = {"element_patch": [], "assemble_stiffness": []}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(lod, name), **kwargs):
+            calls[_name].append(1)  # list.append is atomic
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lod, name, counting)
+    elements, ks = range(mesh.coarse.num_elements), (1, 2, saturation_k(mesh))
+
+    def work():
+        return [(lod._patch_dofs(ctx, T, k), lod._element_rhs(ctx, T)) for T in elements for k in ks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = 2 * (os.cpu_count() or 1) + 2
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls["element_patch"]) == len(elements) * len(ks)
+    assert len(calls["assemble_stiffness"]) == len(elements)
+    for result in results[1:]:
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(result, results[0]))
+
+
+def test_dropped_rows_counted(small, monkeypatch):
+    """A constraint row copied onto another is dropped wherever both reach the
+    patch; the count equals the spied factorizations' dropped rows."""
+    mesh, coef, ctx, op = small
+    R = op.matrix.tolil()
+    R[1] = R[0]
+    redundant = dataclasses.replace(op, matrix=R.tocsr())
+    systems = []
+
+    class Spy(SaddleSystem):
+        def __init__(self, K, C):
+            super().__init__(K, C)
+            systems.append(self)
+
+    monkeypatch.setattr(lod, "SaddleSystem", Spy)
+    correctors, _ = compute_correctors(ctx, redundant, 1)
+    assert correctors.factorizations == len(systems)
+    assert correctors.dropped_rows == sum(len(s.dropped_rows) for s in systems) > 0
+    systems.clear()
+    sol = solve_multiscale(ctx, redundant, 1, LoadSpec.constant(1.0))
+    assert sol.metadata["dropped_rows"] == sum(len(s.dropped_rows) for s in systems) > 0
+    assert solve_multiscale(ctx, op, 1, LoadSpec.constant(1.0)).metadata["dropped_rows"] == 0
 
 
 def test_rhs_support_element_count():
