@@ -35,7 +35,6 @@ from .lod import (
     element_corrector,
     reference_solution,
     relative_energy_error,
-    rhs_corrector,
     solve_multiscale,
 )
 from .mesh import (

@@ -2,11 +2,11 @@
 
 All element integrals use the closed-form P1 formulas for right
 triangles with axis-aligned legs, so there is no quadrature error
-anywhere: products of linears are integrated exactly.  Every region,
-the whole mesh included, is assembled on its own nodes: the stiffness
-and mass assemblers return the ascending fine nodes the region touches
-and the matrix in that local numbering, so a patch or an integration
-domain never costs a matrix the size of the fine mesh.
+anywhere: products of linears are integrated exactly.  Every assembler,
+loads included, returns the ascending fine nodes a region touches and the
+matrix or vector in that local numbering, so no patch, integration domain
+or element costs an array the size of the fine mesh.  The numbering is
+monotone, so the values are a whole-mesh numbering's, entry for entry.
 """
 
 from __future__ import annotations
@@ -28,23 +28,24 @@ SPD_RTOL = 1e-10
 SADDLE_RTOL = 1e-9
 
 
-def _region_indices(mesh: MeshHierarchy, region):
+def _region(mesh: MeshHierarchy, region):
+    """(elems, nodes, verts): the region's fine elements (all by default), the
+    ascending fine nodes they touch, and the elements' vertices in that numbering."""
     if region is None:
-        return np.arange(mesh.fine.num_elements, dtype=np.int64)
-    return np.asarray(region, dtype=np.int64)
+        nodes = np.arange(mesh.fine.num_nodes, dtype=np.int64)
+        return np.arange(mesh.fine.num_elements, dtype=np.int64), nodes, mesh.fine.elements
+    elems = np.asarray(region, dtype=np.int64)
+    nodes, verts = np.unique(mesh.fine.elements[elems], return_inverse=True)
+    return elems, nodes, verts.reshape(-1, 3)
 
 
 def _assemble(mesh: MeshHierarchy, region, weight, local, factor):
     """Sum weight(e) * factor * local over the region's fine elements.
 
-    Returns (nodes, matrix): the ascending fine nodes the region
-    touches and the CSR matrix in that local numbering.  The numbering
-    is monotone, so the matrix holds the values of the nonzero block a
-    whole-mesh numbering would give, entry for entry.
+    Returns (nodes, matrix): the region's nodes and the CSR matrix in
+    their local numbering.
     """
-    elems = _region_indices(mesh, region)
-    nodes, verts = np.unique(mesh.fine.elements[elems], return_inverse=True)
-    verts = verts.reshape(-1, 3)
+    elems, nodes, verts = _region(mesh, region)
     scale = (np.ones(len(elems)) if weight is None else weight.values()[elems]) * factor
     rows = np.repeat(verts, 3, axis=1).ravel()
     cols = np.tile(verts, (1, 3)).ravel()
@@ -86,6 +87,28 @@ class LoadSpec:
     def hat(cls, x, y):
         return cls("hat", point=_finite("hat point coordinates", x, y))
 
+    def lattice(self, n):
+        """The rectangle's corners (i0, i1, j0, j1) or the hat's point (i, j) in
+        steps of h = 1/n; off that lattice, or a hat outside the unit square,
+        is a ParameterError."""
+        scaled = np.array(self.rect + self.point) * n
+        snapped = np.round(scaled)
+        if not (np.abs(scaled - snapped) <= 1e-9).all():
+            raise ParameterError(f"load {self.describe()} is not on the fine lattice (h = 1/{n})")
+        coords = tuple(int(c) for c in snapped)
+        if self.kind == "hat" and not all(0 <= c <= n for c in coords):
+            raise ParameterError(f"hat point {self.point} outside the unit square")
+        return coords
+
+    def validate(self, n):
+        """A ParameterError when the load vanishes on the unit square or is off
+        the fine lattice h = 1/n."""
+        x0, x1, y0, y1 = self.rect or (0.0, 1.0, 0.0, 1.0)
+        if self.value == 0.0 or not (max(x0, 0.0) < min(x1, 1.0) and max(y0, 0.0) < min(y1, 1.0)):
+            raise ParameterError(f"load {self.describe()} vanishes on the unit square")
+        if self.kind != "const":
+            self.lattice(n)
+
     def describe(self):
         if self.kind == "const":
             return f"const:{self.value:g}"
@@ -101,59 +124,30 @@ def _finite(what, *values):
     return values
 
 
-def _lattice_coord(value, n, what):
-    scaled = value * n
-    snapped = round(scaled)
-    if abs(scaled - snapped) > 1e-9:
-        raise ParameterError(f"{what} = {value} is not on the fine lattice (h = 1/{n})")
-    return int(snapped)
-
-
 def assemble_load(mesh: MeshHierarchy, f_spec: LoadSpec, region=None):
-    """Exact load vector for the supported right-hand sides.
+    """Exact load over the region (whole mesh by default): (nodes, load).
 
-    With ``region`` given, integrates only over those fine elements
-    (used for element-restricted correction problems).
+    Each kind fills a table of its integrals against every element's
+    three vertex hats; one bincount sums the table onto the nodes.
     """
     n = mesh.fine.n
     area = mesh.h**2 / 2.0
-    elems = _region_indices(mesh, region)
-    load = np.zeros(mesh.fine.num_nodes)
-
+    elems, nodes, verts = _region(mesh, region)
     if f_spec.kind == "const":
-        np.add.at(load, mesh.fine.elements[elems].ravel(),
-                  np.full(3 * len(elems), f_spec.value * area / 3.0))
-        return load
-
-    if f_spec.kind == "rect":
-        x0, x1, y0, y1 = f_spec.rect
-        i0 = _lattice_coord(x0, n, "rectangle x0")
-        i1 = _lattice_coord(x1, n, "rectangle x1")
-        j0 = _lattice_coord(y0, n, "rectangle y0")
-        j1 = _lattice_coord(y1, n, "rectangle y1")
-        cell = elems >> 1
-        ci, cj = cell % n, cell // n
-        inside = (ci >= i0) & (ci < i1) & (cj >= j0) & (cj < j1)
-        sel = elems[inside]
-        np.add.at(load, mesh.fine.elements[sel].ravel(),
-                  np.full(3 * len(sel), area / 3.0))
-        return load
-
-    if f_spec.kind == "hat":
-        x, y = f_spec.point
-        i = _lattice_coord(x, n, "hat point x")
-        j = _lattice_coord(y, n, "hat point y")
-        if not (0 <= i <= n and 0 <= j <= n):
-            raise ParameterError(f"hat point {f_spec.point} outside the unit square")
-        node = mesh.fine.node_index(i, j)
-        incident = np.intersect1d(mesh.fine.elements_of_node(node), elems)
-        for e in incident:
-            verts = mesh.fine.elements[e]
-            local = np.where(verts == node, 2.0, 1.0) * (area / 12.0)
-            np.add.at(load, verts, local)
-        return load
-
-    raise ParameterError(f"unknown load kind {f_spec.kind!r}")
+        table = np.full(verts.shape, f_spec.value * area / 3.0)
+    elif f_spec.kind == "rect":
+        i0, i1, j0, j1 = f_spec.lattice(n)
+        ci, cj = (elems >> 1) % n, (elems >> 1) // n
+        table = np.zeros(verts.shape)
+        table[(ci >= i0) & (ci < i1) & (cj >= j0) & (cj < j1)] = area / 3.0
+    elif f_spec.kind == "hat":
+        i, j = f_spec.lattice(n)
+        at_node = mesh.fine.elements[elems] == mesh.fine.node_index(i, j)
+        table = np.where(at_node, 2.0, 1.0) * (area / 12.0)
+        table[~at_node.any(axis=1)] = 0.0
+    else:
+        raise ParameterError(f"unknown load kind {f_spec.kind!r}")
+    return nodes, np.bincount(verts.ravel(), weights=table.ravel(), minlength=len(nodes))
 
 
 def energy_norm(K, v):

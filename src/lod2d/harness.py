@@ -175,6 +175,7 @@ class ExperimentConfig:
         ratio = level_ratio(self.coarse_level, self.fine_level)
         if self.delta is not None:
             delta_steps(self.delta, ratio)
+        self.f.validate(2**self.fine_level)
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
@@ -264,7 +265,8 @@ def _reference_cache_key(config: ExperimentConfig, alpha):
 
 
 def _cached_reference(config, ctx, alpha):
-    """Reference solution from the cache, rebuilt when missing or unreadable.
+    """Reference solution from the cache, rebuilt when missing or unreadable, or
+    when the entry is not a finite float64 array of the fine mesh's size.
 
     Entries are written to a temporary file and renamed into place, so
     a reader never sees a partly written one.
@@ -276,7 +278,7 @@ def _cached_reference(config, ctx, alpha):
     path = cache / f"ref_{_reference_cache_key(config, alpha)}.npy"
     try:
         u = np.load(path)
-        if u.shape == (ctx.mesh.fine.num_nodes,):
+        if u.dtype == np.float64 and u.shape == (ctx.mesh.fine.num_nodes,) and np.isfinite(u).all():
             return u
     except (OSError, ValueError, EOFError):
         pass

@@ -66,15 +66,16 @@ def _patch_dofs(ctx, T, k):
 
 
 def _element_rhs(ctx, T):
-    """T's free fine nodes and the rows K_T @ P of them for T's three vertices, with
-    K_T T's stiffness on its own nodes: read-only, cached on the context per T."""
+    """T's free fine nodes, the mask picking them from T's own nodes, and the rows
+    K_T @ P of them for T's three vertices, with K_T T's stiffness on its own
+    nodes: read-only, cached on the context per T."""
     mesh = ctx.mesh
     with mesh.patch_lock:
         if T not in ctx.element_rhs:
             nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
             KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, mesh.coarse.elements[T]]
             free = ~np.isin(nodes, ctx.constrained_fine, kind="table")
-            ctx.element_rhs[T] = nodes[free], KP[free]
+            ctx.element_rhs[T] = nodes[free], free, KP[free]
             for a in ctx.element_rhs[T]:
                 a.flags.writeable = False
         return ctx.element_rhs[T]
@@ -127,27 +128,18 @@ def _saddle_system(cut):
 def _element_solve(ctx, system, T, dofs, verts, load=None):
     """Solve coarse element T's right-hand sides with its patch system.
 
-    The hats ``verts`` take their columns of T's element block, in the rows of
-    the patch DOFs ``dofs`` holding T's free nodes (all of them, for k >= 1),
-    and ``load`` on ``dofs``, when given, is the last column.
+    The hats ``verts`` take their columns of T's element block and ``load`` (on
+    T's own nodes), when given, the last column, each in the rows of the patch
+    DOFs ``dofs`` holding T's free nodes (all of them, for k >= 1).
     """
+    nodes, free, KP = _element_rhs(ctx, T)
+    rows = np.searchsorted(dofs, nodes)
     B = np.zeros((len(dofs), len(verts) + (load is not None)))
-    if verts:
-        nodes, KP = _element_rhs(ctx, T)
-        cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
-        B[np.searchsorted(dofs, nodes), : len(verts)] = KP[:, cols]
+    cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
+    B[rows, : len(verts)] = KP[:, cols]
     if load is not None:
-        B[:, -1] = load
+        B[rows, -1] = load[free]
     return system.solve(B)[0]
-
-
-def _single_element_solve(ctx, op, T, k, verts, load=None):
-    """T's own patch solution for the hats ``verts`` or ``load``, on all fine nodes."""
-    dofs = _patch_dofs(ctx, T, _resolve_k(ctx.mesh, k))
-    system = _saddle_system(_patch_cut(ctx, op, dofs))
-    out = np.zeros(ctx.mesh.fine.num_nodes)
-    out[dofs] = _element_solve(ctx, system, T, dofs, verts, None if load is None else load[dofs])[:, 0]
-    return out
 
 
 def element_corrector(ctx, op, i, T, k=INFINITE_K):
@@ -163,18 +155,11 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
         raise ParameterError(f"coarse element {T} out of range")
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
-    return _single_element_solve(ctx, op, T, k, [int(i)])
-
-
-def rhs_corrector(ctx, op, T, k, f_spec):
-    """Kernel correction of the load restricted to element T (zero without a solve
-    when the load vanishes there)."""
-    mesh = ctx.mesh
-    k = _resolve_k(mesh, k)
-    load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
-    if not load.any():
-        return np.zeros(mesh.fine.num_nodes)
-    return _single_element_solve(ctx, op, T, k, [], load)
+    dofs = _patch_dofs(ctx, T, _resolve_k(mesh, k))
+    system = _saddle_system(_patch_cut(ctx, op, dofs))
+    out = np.zeros(mesh.fine.num_nodes)
+    out[dofs] = _element_solve(ctx, system, T, dofs, [int(i)])[:, 0]
+    return out
 
 
 @dataclass
@@ -194,16 +179,16 @@ class CorrectorSet:
     dropped_rows: int
 
 
-def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
-    """All node correctors (and optionally the summed RHS correction).
+def compute_correctors(ctx, op, k, f_spec=None):
+    """All node correctors, and the summed RHS correction of ``f_spec`` (zero without).
 
     Pass 1 visits the coarse elements with work (a free vertex, or a
-    nonzero element load with ``rhs_correction``) and keys each by a
-    digest of its patch system's local inputs.  Pass 2 visits them
-    sorted by (digest, element), factorizes one system per run of equal
-    digests and solves each element's right-hand sides with it.  The
-    solutions are summed in ascending element order, as a one-by-one
-    traversal sums them, so the results do not depend on the grouping.
+    nonzero element load) and keys each by a digest of its patch
+    system's local inputs.  Pass 2 visits them sorted by (digest,
+    element), factorizes one system per run of equal digests and solves
+    each element's right-hand sides with it.  The solutions are summed
+    in ascending element order, as a one-by-one traversal sums them, so
+    the results do not depend on the grouping.
     """
     mesh = ctx.mesh
     k = _resolve_k(mesh, k)
@@ -211,18 +196,18 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
     row_of = {int(z): idx for idx, z in enumerate(free)}
     n_fine = mesh.fine.num_nodes
 
-    work = []  # (digest, T, dofs, free vertices, load on dofs or None)
+    work = []  # (digest, T, dofs, free vertices, T's load on its own nodes or None)
     for T in range(mesh.coarse.num_elements):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
         load = None
-        if rhs_correction:
-            load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))
+        if f_spec is not None:
+            load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))[1]
             load = load if load.any() else None
         if not verts and load is None:
             continue
         dofs = _patch_dofs(ctx, T, k)
         digest = _system_digest(*_patch_cut(ctx, op, dofs))
-        work.append((digest, T, dofs, verts, None if load is None else load[dofs]))
+        work.append((digest, T, dofs, verts, load))
 
     # Q's entries go in element order, vertex by vertex, into one block
     sizes = [len(verts) * len(dofs) for _, _, dofs, verts, _ in work]
@@ -233,6 +218,7 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
 
     factorizations = dropped_rows = 0
     system = digest_of_system = None
+    u_parts = {}  # work index -> solution of its load on its dofs
     for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
         digest, T, dofs, verts, load = work[idx]
         if digest != digest_of_system:
@@ -247,14 +233,13 @@ def compute_correctors(ctx, op, k, f_spec=None, rhs_correction=False):
         q_cols[a:b] = np.tile(dofs, len(verts))
         q_vals[a:b] = U[:, : len(verts)].T.ravel()
         if load is not None:
-            load[:] = U[:, -1]  # the load column now holds its solution
+            u_parts[idx] = U[:, -1].copy()  # a view would keep all of U alive
     system = None  # free the last factorization before Q is assembled
 
     Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
-    u_f = np.zeros(n_fine) if rhs_correction else None
-    for _, _, dofs, _, u in work:
-        if u is not None:
-            u_f[dofs] += u
+    u_f = np.zeros(n_fine)
+    for idx in sorted(u_parts):
+        u_f[work[idx][2]] += u_parts[idx]
     return CorrectorSet(k, op.kind, free, Q, factorizations, len(work), dropped_rows), u_f
 
 
@@ -272,16 +257,12 @@ class LodSolution:
 def solve_multiscale(ctx, op, k, f_spec, rhs_correction=True) -> LodSolution:
     """Galerkin solve in the corrected coarse space, plus optional RHS correction."""
     mesh = ctx.mesh
-    correctors, u_f = compute_correctors(
-        ctx, op, k, f_spec=f_spec, rhs_correction=rhs_correction
-    )
-    if u_f is None:
-        u_f = np.zeros(mesh.fine.num_nodes)
+    correctors, u_f = compute_correctors(ctx, op, k, f_spec if rhs_correction else None)
     P_free = mesh.prolongation_matrix[:, op.free_nodes]
     B = (P_free - correctors.matrix.T).tocsr()
     K = ctx.stiffness
     G = (B.T @ (K @ B)).toarray()
-    load = assemble_load(mesh, f_spec)
+    load = assemble_load(mesh, f_spec)[1]
     rhs = B.T @ load - B.T @ (K @ u_f)
     try:
         c = np.linalg.solve(G, rhs)
@@ -308,7 +289,7 @@ def solve_multiscale(ctx, op, k, f_spec, rhs_correction=True) -> LodSolution:
 
 def reference_solution(ctx, f_spec):
     """Fine P1 Galerkin solution with the problem's boundary conditions."""
-    load = assemble_load(ctx.mesh, f_spec)
+    load = assemble_load(ctx.mesh, f_spec)[1]
     return solve_spd(ctx.stiffness, load, ctx.constrained_fine)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -111,50 +112,43 @@ class _Level:
         elems[1::2] = upper
         self.elements = elems
 
-        self._node_to_elem = None
-        self._edge_neighbors = None
-
     def node_index(self, i, j):
         return j * (self.n + 1) + i
 
     def node_ij(self, idx):
         return idx % (self.n + 1), idx // (self.n + 1)
 
-    @property
+    @cached_property
     def node_to_elements(self):
         """CSR-style (indptr, flat element indices) incidence, built lazily."""
-        if self._node_to_elem is None:
-            flat_nodes = self.elements.ravel()
-            flat_elems = np.repeat(np.arange(self.num_elements, dtype=np.int64), 3)
-            order = np.argsort(flat_nodes, kind="stable")
-            counts = np.bincount(flat_nodes, minlength=self.num_nodes)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._node_to_elem = (indptr, flat_elems[order])
-        return self._node_to_elem
+        flat_nodes = self.elements.ravel()
+        flat_elems = np.repeat(np.arange(self.num_elements, dtype=np.int64), 3)
+        order = np.argsort(flat_nodes, kind="stable")
+        counts = np.bincount(flat_nodes, minlength=self.num_nodes)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return indptr, flat_elems[order]
 
     def elements_of_node(self, node):
         indptr, data = self.node_to_elements
         return data[indptr[node] : indptr[node + 1]]
 
-    @property
+    @cached_property
     def edge_neighbors(self):
         """(num_elements, 3) edge-adjacent element indices, -1 where none."""
-        if self._edge_neighbors is None:
-            n = self.n
-            e = np.arange(self.num_elements, dtype=np.int64)
-            lower = 1 - (e & 1)
-            ci, cj = (e >> 1) % n, (e >> 1) // n
-            # a lower triangle meets the upper ones left and below, an upper
-            # triangle the lower ones right and above: neighbour 0 shares
-            # the diagonal, 1 the vertical leg, 2 the horizontal leg
-            step = 1 - 2 * lower
-            ni, nj = ci + step, cj + step
-            self._edge_neighbors = np.column_stack([
-                e ^ 1,
-                np.where((ni >= 0) & (ni < n), 2 * (cj * n + ni) + lower, -1),
-                np.where((nj >= 0) & (nj < n), 2 * (nj * n + ci) + lower, -1),
-            ])
-        return self._edge_neighbors
+        n = self.n
+        e = np.arange(self.num_elements, dtype=np.int64)
+        lower = 1 - (e & 1)
+        ci, cj = (e >> 1) % n, (e >> 1) // n
+        # a lower triangle meets the upper ones left and below, an upper
+        # triangle the lower ones right and above: neighbour 0 shares
+        # the diagonal, 1 the vertical leg, 2 the horizontal leg
+        step = 1 - 2 * lower
+        ni, nj = ci + step, cj + step
+        return np.column_stack([
+            e ^ 1,
+            np.where((ni >= 0) & (ni < n), 2 * (cj * n + ni) + lower, -1),
+            np.where((nj >= 0) & (nj < n), 2 * (nj * n + ci) + lower, -1),
+        ])
 
     def element_graph(self, sel, values=None):
         """Edge-adjacency graph of the elements in ``sel``, as ``(idx, graph)``.
@@ -215,9 +209,6 @@ class MeshHierarchy:
         self.fine = _Level(fine_level)
         self.H = self.coarse.h
         self.h = self.fine.h
-        self._prolongation = None
-        self._coarse_parent = None
-        self._children = None
         # lod's patch DOFs by (T, k) and by patch; the lock also guards ctx.element_rhs
         self.patch_dofs, self.patch_lock = {}, threading.Lock()
 
@@ -242,29 +233,29 @@ class MeshHierarchy:
 
     # -- coarse <-> fine element maps -----------------------------------------
 
-    @property
+    @cached_property
     def coarse_parent_of_fine(self):
         """Coarse element index containing each fine element (exact nesting)."""
-        if self._coarse_parent is None:
-            r, nc = self.ratio, self.coarse.n
-            e = np.arange(self.fine.num_elements, dtype=np.int64)
-            t = e & 1
-            cell = e >> 1
-            fi, fj = cell % self.fine.n, cell // self.fine.n
-            ci, cj = fi // r, fj // r
-            s = fi % r + fj % r
-            pt = np.where(s <= r - 2, 0, np.where(s >= r, 1, t))
-            self._coarse_parent = 2 * (cj * nc + ci) + pt
-        return self._coarse_parent
+        r, nc = self.ratio, self.coarse.n
+        e = np.arange(self.fine.num_elements, dtype=np.int64)
+        t = e & 1
+        cell = e >> 1
+        fi, fj = cell % self.fine.n, cell // self.fine.n
+        ci, cj = fi // r, fj // r
+        s = fi % r + fj % r
+        pt = np.where(s <= r - 2, 0, np.where(s >= r, 1, t))
+        return 2 * (cj * nc + ci) + pt
+
+    @cached_property
+    def _children(self):
+        """CSR-style (indptr, fine element indices) of each coarse element's children."""
+        parent = self.coarse_parent_of_fine
+        order = np.argsort(parent, kind="stable")
+        counts = np.bincount(parent, minlength=self.coarse.num_elements)
+        return np.concatenate([[0], np.cumsum(counts)]), order
 
     def fine_elements_of_coarse(self, coarse_elements):
         """Fine element indices whose parent is among the given coarse indices."""
-        if self._children is None:
-            parent = self.coarse_parent_of_fine
-            order = np.argsort(parent, kind="stable")
-            counts = np.bincount(parent, minlength=self.coarse.num_elements)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._children = (indptr, order)
         indptr, order = self._children
         parts = [order[indptr[T] : indptr[T + 1]] for T in np.atleast_1d(coarse_elements)]
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
@@ -276,15 +267,13 @@ class MeshHierarchy:
 
     # -- prolongation ----------------------------------------------------------
 
-    @property
+    @cached_property
     def prolongation_matrix(self):
         """Sparse (fine nodes x coarse nodes) nodal interpolation of coarse hats."""
-        if self._prolongation is None:
-            P = sparse.identity(self.coarse.num_nodes, format="csr")
-            for lev in range(self.coarse_level, self.fine_level):
-                P = _refine_once(lev) @ P
-            self._prolongation = P.tocsr()
-        return self._prolongation
+        P = sparse.identity(self.coarse.num_nodes, format="csr")
+        for lev in range(self.coarse_level, self.fine_level):
+            P = _refine_once(lev) @ P
+        return P.tocsr()
 
 
 def _refine_once(level):

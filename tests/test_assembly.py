@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -70,6 +72,27 @@ def full_size_mass(mesh, region=None, weight=None):
     return _full_size_scatter(
         mesh.fine.elements[elems], mesh.fine.num_nodes, MASS_LOCAL_UNIT_AREA, w
     )
+
+
+def full_size_load(mesh, f_spec, region=None):
+    """Reference: the region's load as an n_fine vector, scattered element by
+    element with ``np.add.at``."""
+    n, area = mesh.fine.n, mesh.h**2 / 2.0
+    elems = np.arange(mesh.fine.num_elements) if region is None else np.asarray(region)
+    load = np.zeros(mesh.fine.num_nodes)
+    if f_spec.kind == "const":
+        np.add.at(load, mesh.fine.elements[elems].ravel(), f_spec.value * area / 3.0)
+    elif f_spec.kind == "rect":
+        i0, i1, j0, j1 = (round(v * n) for v in f_spec.rect)
+        ci, cj = (elems >> 1) % n, (elems >> 1) // n
+        inside = elems[(ci >= i0) & (ci < i1) & (cj >= j0) & (cj < j1)]
+        np.add.at(load, mesh.fine.elements[inside].ravel(), area / 3.0)
+    else:
+        node = mesh.fine.node_index(*(round(v * n) for v in f_spec.point))
+        for e in np.intersect1d(mesh.fine.elements_of_node(node), elems):
+            verts = mesh.fine.elements[e]
+            np.add.at(load, verts, np.where(verts == node, 2.0, 1.0) * (area / 12.0))
+    return load
 
 
 @pytest.fixture(scope="module")
@@ -188,15 +211,39 @@ def test_mixed_mass_two_integration_paths(mesh):
 
 
 def test_load_constant_and_rectangle(mesh):
-    assert assemble_load(mesh, LoadSpec.constant(1.0)).sum() == pytest.approx(1.0, abs=1e-14)
-    load = assemble_load(mesh, LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75))
+    nodes, load = assemble_load(mesh, LoadSpec.constant(1.0))
+    assert np.array_equal(nodes, np.arange(mesh.fine.num_nodes))
+    assert load.sum() == pytest.approx(1.0, abs=1e-14)
+    load = assemble_load(mesh, LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75))[1]
     assert load.sum() == pytest.approx(0.25, abs=1e-14)
     with pytest.raises(ParameterError):
         assemble_load(mesh, LoadSpec.rectangle(0.25, 0.7501, 0.25, 0.75))
 
 
+@pytest.mark.parametrize("levels", [(2, 5), (3, 6)])
+def test_region_loads_are_the_full_size_entries(levels):
+    """Every coarse element's load, and the whole mesh's, equals the full-size
+    reference at the region's nodes, which is zero everywhere else."""
+    mesh = build_hierarchy(*levels, BoundarySpec.edges("left", "top"))
+    loads = [
+        LoadSpec.constant(1.0), LoadSpec.constant(-2.5),
+        LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75), LoadSpec.rectangle(-1.0, 0.5, 0.75, 2.0),
+        LoadSpec.hat(0.5, 0.125), LoadSpec.hat(0.0, 0.0), LoadSpec.hat(1.0, 0.5),
+    ]
+    regions = [None] + [mesh.fine_elements_of_coarse([T]) for T in range(mesh.coarse.num_elements)]
+    for f, region in itertools.product(loads, regions):
+        nodes, load = assemble_load(mesh, f, region)
+        full = full_size_load(mesh, f, region)
+        elems = np.arange(mesh.fine.num_elements) if region is None else region
+        assert np.array_equal(nodes, np.unique(mesh.fine.elements[elems]))
+        assert load.dtype == full.dtype and np.array_equal(load, full[nodes])
+        outside = np.ones(mesh.fine.num_nodes, dtype=bool)
+        outside[nodes] = False
+        assert not full[outside].any()
+
+
 def test_load_hat_is_mass_column(mesh):
-    load = assemble_load(mesh, LoadSpec.hat(0.5, 0.125))
+    load = assemble_load(mesh, LoadSpec.hat(0.5, 0.125))[1]
     node = mesh.fine.node_index(16, 4)
     _, M = assemble_mass(mesh)
     assert np.abs(load - M[:, node].toarray().ravel()).max() == 0.0
@@ -223,7 +270,7 @@ def test_solve_spd_against_dense_oracle(mesh):
 
 def test_solve_spd_constrained(mesh):
     _, K = assemble_stiffness(mesh)
-    b = assemble_load(mesh, LoadSpec.constant(1.0))
+    b = assemble_load(mesh, LoadSpec.constant(1.0))[1]
     constrained = np.flatnonzero(mesh.constrained_fine_mask)
     u = solve_spd(K, b, constrained)
     assert np.abs(u[constrained]).max() == 0.0
@@ -235,7 +282,7 @@ def test_solve_spd_constrained(mesh):
 def test_galerkin_consistency(mesh):
     coef = gen_random_field(mesh, 1e-3, 2)
     ctx = BilinearFormContext(mesh, coef)
-    b = assemble_load(mesh, LoadSpec.constant(1.0))
+    b = assemble_load(mesh, LoadSpec.constant(1.0))[1]
     u = solve_spd(ctx.stiffness, b, ctx.constrained_fine)
     rng = np.random.default_rng(0)
     free = np.flatnonzero(~mesh.constrained_fine_mask)

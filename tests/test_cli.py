@@ -189,6 +189,12 @@ def test_python_dash_m_entry_points(tmp_path):
         "infinite-hat-load",
         "infinite-const-load",
         "nan-const-load",
+        "zero-const-load",
+        "outside-rect-load",
+        "edge-touching-rect-load",
+        "off-lattice-rect-load",
+        "off-lattice-hat-load",
+        "outside-hat-load",
         "empty-csv-value",
         "csv-path-is-directory",
         "output-under-a-file",
@@ -206,6 +212,13 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         return solve_multiscale(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_multiscale", counting_solve)
+    meshes = []
+
+    def counting_mesh(*args):
+        meshes.append(args)
+        return build_hierarchy(*args)
+
+    monkeypatch.setattr(harness, "build_hierarchy", counting_mesh)
     cfg = write_config(tmp_path)
     decay = ["decay", str(cfg), str(tmp_path / "d.csv")]
     csv = tmp_path / "res.csv"
@@ -232,6 +245,12 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
             "infinite-hat-load": "hat:inf,0.5",
             "infinite-const-load": "const:inf",
             "nan-const-load": "const:nan",
+            "zero-const-load": "const:0",
+            "outside-rect-load": "rect:2,3,2,3",
+            "edge-touching-rect-load": "rect:0,1,1,2",
+            "off-lattice-rect-load": "rect:0,0.3,0,1",
+            "off-lattice-hat-load": "hat:0.5,0.01",
+            "outside-hat-load": "hat:1.5,0.5",
         }[case]
         base = TINY.replace("f = const:1\n", "")
         cfg = write_config(tmp_path, f"f = {load}\ncsv = {tmp_path}/d.csv\n", base=base)
@@ -263,6 +282,8 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()
     assert cells == []  # no sweep cell ran
+    if case.endswith("-load"):
+        assert meshes == []  # rejected with the config, before the mesh is built
 
 
 def test_decay_honours_config_delta(tmp_path, capsys):

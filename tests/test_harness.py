@@ -275,17 +275,28 @@ def test_lod_threads_zero_means_auto(monkeypatch):
     assert _worker_count() == 3
 
 
-def test_truncated_reference_cache_is_rebuilt(tmp_path):
+CORRUPTIONS = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:100]),
+    "nan": lambda path: np.save(path, np.full_like(np.load(path), np.nan)),
+    "float32": lambda path: np.save(path, np.load(path).astype(np.float32)),
+    "complex": lambda path: np.save(path, np.load(path).astype(np.complex128)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_truncated_reference_cache_is_rebuilt(tmp_path, corruption):
     config = tiny_config(tmp_path, csv=str(tmp_path / "a.csv"))
     run_experiment(config)
     cache = tmp_path / "cache"
     entries = sorted(cache.glob("ref_*.npy"))
     assert len(entries) == len(config.alphas)
     for path in entries:
-        path.write_bytes(path.read_bytes()[:100])
+        CORRUPTIONS[corruption](path)
     run_experiment(replace(config, csv=str(tmp_path / "b.csv")))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert all(np.load(path).ndim == 1 for path in entries)
+    for path in entries:
+        u = np.load(path)
+        assert u.ndim == 1 and u.dtype == np.float64 and np.isfinite(u).all()
     assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in entries)
 
 

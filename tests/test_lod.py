@@ -17,7 +17,6 @@ from lod2d.lod import (
     element_corrector,
     reference_solution,
     relative_energy_error,
-    rhs_corrector,
     saturation_k,
     solve_multiscale,
 )
@@ -136,25 +135,37 @@ def test_element_corrector_validation(small):
         element_corrector(ctx, op, int(op.free_nodes[0]), 0, k=0)
 
 
-def test_rhs_corrector_skips_zero_load(small, monkeypatch):
+def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
+    """With a small rect load, an element with free vertices but no load solves
+    one column per free vertex, one with load gets one more, and an element
+    with neither is never solved; element_solves counts the solved ones."""
     mesh, coef, ctx, op = small
-    calls = []
-    orig = SaddleSystem.solve
+    solved = []
+    element_solve = lod._element_solve
 
-    def counting(self, B):
-        calls.append(1)
-        return orig(self, B)
+    def recording(ctx, system, T, dofs, verts, load=None):
+        U = element_solve(ctx, system, T, dofs, verts, load)
+        solved.append((T, len(verts), U.shape[1]))
+        return U
 
-    monkeypatch.setattr(SaddleSystem, "solve", counting)
+    monkeypatch.setattr(lod, "_element_solve", recording)
     f = LoadSpec.rectangle(0.25, 0.5, 0.25, 0.5)
-    T_far = mesh.coarse.num_elements - 1  # upper-right corner, away from support
-    out = rhs_corrector(ctx, op, T_far, 2, f)
-    assert np.abs(out).max() == 0.0
-    assert len(calls) == 0
-    T_near = 2 * (1 * mesh.coarse.n + 1)
-    out = rhs_corrector(ctx, op, T_near, 2, f)
-    assert np.abs(out).max() > 0.0
-    assert len(calls) == 1
+    correctors, u_f = compute_correctors(ctx, op, 2, f)
+    elements = set(range(mesh.coarse.num_elements))
+    loaded = {T for T in elements
+              if assemble_load(mesh, f, mesh.fine_elements_of_coarse([T]))[1].any()}
+    has_verts = {T for T in elements if np.isin(mesh.coarse.elements[T], op.free_nodes).any()}
+    assert loaded and has_verts - loaded and elements - loaded - has_verts
+    assert sorted(T for T, _, _ in solved) == sorted(loaded | has_verts)
+    for T, n_verts, n_cols in solved:
+        assert n_cols == n_verts + (T in loaded)
+    assert correctors.element_solves == len(solved)
+    assert np.abs(u_f).max() > 0.0
+    solved.clear()
+    correctors, u_f = compute_correctors(ctx, op, 2)
+    assert sorted(T for T, _, _ in solved) == sorted(has_verts)
+    assert all(n_cols == n_verts for _, n_verts, n_cols in solved)
+    assert correctors.element_solves == len(has_verts) and not u_f.any()
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +207,12 @@ def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
     mesh, coef, ctx = stripes_l3
     op = build_operator(kind, mesh, coef)
     f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
-    grouped, u_grouped = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
+    grouped, u_grouped = compute_correctors(ctx, op, k, f_spec=f)
     assert grouped.factorizations < grouped.element_solves
 
     unique = itertools.count()
     monkeypatch.setattr(lod, "_system_digest", lambda K, C: next(unique).to_bytes(8, "big"))
-    single, u_single = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
+    single, u_single = compute_correctors(ctx, op, k, f_spec=f)
     assert single.factorizations == single.element_solves == grouped.element_solves
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(grouped.matrix, attr), getattr(single.matrix, attr))
@@ -220,7 +231,7 @@ def test_factorization_counters(small, stripes_l3, monkeypatch):
         return digests[-1]
 
     monkeypatch.setattr(lod, "_system_digest", recording)
-    correctors, _ = compute_correctors(ctx, op, 1, f_spec=f, rhs_correction=True)
+    correctors, _ = compute_correctors(ctx, op, 1, f_spec=f)
     assert correctors.element_solves == len(digests) == mesh.coarse.num_elements
     assert correctors.factorizations == len(set(digests)) < mesh.coarse.num_elements
 
@@ -271,8 +282,8 @@ def test_shared_caches_match_fresh_objects():
         ctx = contexts[alpha]
         op = build_operator(kind, shared, ctx.coef)
         for k in (1, 2):
-            got, u_f = compute_correctors(ctx, op, k, f_spec=f, rhs_correction=True)
-            ref, u_ref = compute_correctors(*fresh(alpha, kind), k, f_spec=f, rhs_correction=True)
+            got, u_f = compute_correctors(ctx, op, k, f_spec=f)
+            ref, u_ref = compute_correctors(*fresh(alpha, kind), k, f_spec=f)
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got.matrix, attr), getattr(ref.matrix, attr))
             assert np.array_equal(u_f, u_ref)
@@ -362,7 +373,7 @@ def test_rhs_support_element_count():
     touched = [
         T
         for T in range(mesh.coarse.num_elements)
-        if assemble_load(mesh, f, region=mesh.fine_elements_of_coarse([T])).any()
+        if assemble_load(mesh, f, region=mesh.fine_elements_of_coarse([T]))[1].any()
     ]
     assert len(touched) == 32  # 4x4 coarse cells under the box, 2 triangles each
 
@@ -370,8 +381,8 @@ def test_rhs_support_element_count():
 def test_ideal_rhs_correction_identity(small):
     mesh, coef, ctx, op = small
     f = LoadSpec.constant(1.0)
-    _, u_f = compute_correctors(ctx, op, None, f_spec=f, rhs_correction=True)
-    load = assemble_load(mesh, f)
+    _, u_f = compute_correctors(ctx, op, None, f_spec=f)
+    load = assemble_load(mesh, f)[1]
     rng = np.random.default_rng(1)
     K = ctx.stiffness
     for _ in range(10):
@@ -403,7 +414,7 @@ def test_error_without_correction_equals_kernel_part(small):
     mesh, coef, ctx, op = small
     f = LoadSpec.constant(1.0)
     sol = solve_multiscale(ctx, op, None, f, rhs_correction=False)
-    _, u_f = compute_correctors(ctx, op, None, f_spec=f, rhs_correction=True)
+    _, u_f = compute_correctors(ctx, op, None, f_spec=f)
     u_ref = reference_solution(ctx, f)
     lhs = ctx.energy_norm(u_ref - sol.u_ms)
     rhs = ctx.energy_norm(u_f)
