@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .mesh import MeshHierarchy
+from .mesh import BoundarySpec, MeshHierarchy, _hex_norm
 
 # local matrices for vertex order (right-angle corner, leg end, leg end)
 STIFFNESS_LOCAL = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
@@ -100,14 +100,22 @@ class LoadSpec:
             raise ParameterError(f"hat point {self.point} outside the unit square")
         return coords
 
-    def validate(self, n):
-        """A ParameterError when the load vanishes on the unit square or is off
-        the fine lattice h = 1/n."""
+    def validate(self, n, dirichlet=()):
+        """A ParameterError when the load vanishes on the unit square, is off the
+        fine lattice h = 1/n, or is a hat whose support nodes (its point and the
+        point's hexagon neighbours in the square) all lie on the Dirichlet edges
+        named in ``dirichlet``, where it would vanish on every free node."""
         x0, x1, y0, y1 = self.rect or (0.0, 1.0, 0.0, 1.0)
         if self.value == 0.0 or not (max(x0, 0.0) < min(x1, 1.0) and max(y0, 0.0) < min(y1, 1.0)):
             raise ParameterError(f"load {self.describe()} vanishes on the unit square")
-        if self.kind != "const":
+        if self.kind == "rect":
             self.lattice(n)
+        elif self.kind == "hat":
+            i, j = self.lattice(n)
+            support = np.array([(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                                if _hex_norm(di, dj) <= 1 and 0 <= i + di <= n and 0 <= j + dj <= n])
+            if BoundarySpec.edges(*dirichlet).node_mask(support / n).all():
+                raise ParameterError(f"load {self.describe()} lies on Dirichlet nodes only")
 
     def describe(self):
         if self.kind == "const":
@@ -311,6 +319,7 @@ class BilinearFormContext:
         self.stiffness = assemble_stiffness(mesh, coef)[1]
         self.constrained_fine = np.flatnonzero(mesh.constrained_fine_mask)
         self.element_rhs = {}  # lod's element right-hand-side blocks, under mesh.patch_lock
+        self.stiffness_digests = {}  # lod's patch stiffness digests by (T, k), likewise
 
     def energy_norm(self, v):
         return energy_norm(self.stiffness, v)

@@ -9,8 +9,11 @@ and the coefficient that every CLI subcommand works on.
 
 A sweep runs every (operator, alpha, k) cell against one cached fine
 reference solution per alpha and writes a CSV sorted by (operator,
-alpha, k).  Cells that fail numerically become ``failed``
-rows rather than aborting the run.  Timings are recorded only when
+alpha, k).  The operators that read the coefficient only through its
+``is_one`` mask are built once per distinct mask and shared by every
+alpha with that mask; the coefficient-weighted ones are built per
+alpha.  Cells that fail numerically become ``failed`` rows rather than
+aborting the run.  Timings are recorded only when
 ``record_timings`` is enabled, so default runs are byte-reproducible.
 """
 
@@ -31,7 +34,7 @@ import numpy as np
 from . import coefficient as coefmod
 from .assembly import BilinearFormContext, LoadSpec
 from .errors import ParameterError, SolverError
-from .interp import OPERATOR_KINDS, build_operator
+from .interp import ALPHA_FREE_KINDS, OPERATOR_KINDS, build_operator
 from .lod import relative_energy_error, reference_solution, solve_multiscale
 from .mesh import BoundarySpec, EDGE_NAMES, build_hierarchy, delta_steps, level_ratio
 
@@ -175,7 +178,7 @@ class ExperimentConfig:
         ratio = level_ratio(self.coarse_level, self.fine_level)
         if self.delta is not None:
             delta_steps(self.delta, ratio)
-        self.f.validate(2**self.fine_level)
+        self.f.validate(2**self.fine_level, self.dirichlet)
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
@@ -319,30 +322,36 @@ def run_experiment(config: ExperimentConfig):
     _prepare_outputs(config)
     mesh = config.mesh()
 
-    contexts, references, operators = {}, {}, {}
-    op_errors = {}
+    contexts, references = {}, {}
+    operators = {}  # (kind, alpha) -> the operator, or the error its build raised
+    alpha_free = []  # (is_one, {kind: operator or error}) per distinct is_one mask
     for alpha in config.alphas:
         coef = config.coefficient_at(mesh, alpha)
         ctx = BilinearFormContext(mesh, coef)
         contexts[alpha] = ctx
         references[alpha] = _cached_reference(config, ctx, alpha)
+        shared = next((ops for mask, ops in alpha_free if np.array_equal(mask, coef.is_one)), None)
+        if shared is None:
+            shared = {}
+            alpha_free.append((coef.is_one, shared))
         for kind in config.operators:
-            try:
-                operators[(kind, alpha)] = build_operator(kind, mesh, coef, delta=config.delta)
-            except (ParameterError, SolverError, np.linalg.LinAlgError) as exc:
-                op_errors[(kind, alpha)] = exc
+            built = shared if kind in ALPHA_FREE_KINDS else {}
+            if kind not in built:
+                try:
+                    built[kind] = build_operator(kind, mesh, coef, delta=config.delta)
+                except (ParameterError, SolverError, np.linalg.LinAlgError) as exc:
+                    built[kind] = exc
+            operators[(kind, alpha)] = built[kind]
 
     def run_cell(cell):
         kind, alpha, k = cell
         start = time.perf_counter()
         try:
-            if (kind, alpha) in op_errors:
-                raise op_errors[(kind, alpha)]
+            op = operators[(kind, alpha)]
+            if isinstance(op, Exception):
+                raise op
             ctx = contexts[alpha]
-            sol = solve_multiscale(
-                ctx, operators[(kind, alpha)], k, config.f,
-                rhs_correction=config.rhs_correction,
-            )
+            sol = solve_multiscale(ctx, op, k, config.f, rhs_correction=config.rhs_correction)
             err = relative_energy_error(ctx, references[alpha], sol.u_total)
             status = "ok"
         except (ParameterError, SolverError, np.linalg.LinAlgError):

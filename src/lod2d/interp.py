@@ -19,7 +19,7 @@ and the coverage count run on one fine-element graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -34,6 +34,8 @@ from .mesh import ElementSet, MeshHierarchy, node_patch, scaled_node_patch
 
 OPERATOR_KINDS = ("SZ", "nodal", "IH", "IH1", "Aproj", "AprojQM")
 DUAL_BASIS_KINDS = ("SZ", "IH", "IH1")  # the unweighted duals: kappa is defined
+# read the coefficient only through is_one, so one build serves every alpha
+ALPHA_FREE_KINDS = ("SZ", "nodal", "IH", "IH1")
 CONDITION_LIMIT = 1e14
 
 
@@ -59,6 +61,8 @@ class InterpOperator:
     free_nodes: np.ndarray
     node_variables: list | None = None
     delta: Fraction | None = None
+    # lod's patch constraint digests by (T, k), under the mesh's patch_lock
+    constraint_digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, v):
         return self.matrix @ v

@@ -81,48 +81,69 @@ def _element_rhs(ctx, T):
         return ctx.element_rhs[T]
 
 
-def _patch_cut(ctx, op, dofs):
-    """Raw CSR arrays ``(data, indices, indptr, shape)`` of a patch system's inputs:
-    ``K[dofs][:, dofs]`` and the rows of ``op.matrix[:, dofs]`` with a stored
-    entry, equal dtype for dtype to scipy's slicing.  Only the patch's rows of
-    K and columns of R (from its CSC copy, sorted stably back into rows) are read."""
+def _gather(indptr, dofs):
+    """Positions of the stored entries of the compressed slots ``dofs``, and their counts."""
+    counts = indptr[dofs + 1] - indptr[dofs]
+    starts = np.repeat(indptr[dofs] - np.cumsum(counts) + counts, counts)
+    return np.arange(counts.sum()) + starts, counts
 
-    def gather(indptr):  # positions of the stored entries of the slots dofs, and counts
-        counts = indptr[dofs + 1] - indptr[dofs]
-        starts = np.repeat(indptr[dofs] - np.cumsum(counts) + counts, counts)
-        return np.arange(counts.sum()) + starts, counts
 
-    K, R, n = ctx.stiffness, op.matrix_csc, len(dofs)
+def _stiffness_cut(K, dofs):
+    """Raw CSR arrays ``(data, indices, indptr, shape)`` of ``K[dofs][:, dofs]``, equal
+    dtype for dtype to scipy's slicing: the patch's rows of K, their columns mapped
+    through a position map."""
+    n = len(dofs)
     pos = np.full(K.shape[1], -1, dtype=np.int32)
     pos[dofs] = np.arange(n, dtype=np.int32)
-    take, counts = gather(K.indptr)
+    take, counts = _gather(K.indptr, dofs)
     cols = pos[K.indices[take]]
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(counts)])]
-    K_cut = (K.data[take[keep]], cols[keep], indptr.astype(np.int32), (n, n))
-    take, counts = gather(R.indptr)
+    return K.data[take[keep]], cols[keep], indptr.astype(np.int32), (n, n)
+
+
+def _constraint_cut(R, dofs):
+    """Raw CSR arrays of the rows of ``R[:, dofs]`` with a stored entry, equal dtype for
+    dtype to scipy's slicing, from the patch's columns of R in CSC form sorted stably
+    back into rows, without scanning all of R."""
+    take, counts = _gather(R.indptr, dofs)
     order = np.argsort(R.indices[take], kind="stable")
-    take, cols = take[order], np.repeat(np.arange(n, dtype=np.int32), counts)[order]
+    take, cols = take[order], np.repeat(np.arange(len(dofs), dtype=np.int32), counts)[order]
     starts = np.flatnonzero(np.diff(R.indices[take], prepend=-1))
-    return K_cut, (R.data[take], cols, np.append(starts, len(take)).astype(np.int32), (len(starts), n))
+    return R.data[take], cols, np.append(starts, len(take)).astype(np.int32), (len(starts), len(dofs))
 
 
-def _system_digest(K, C):
-    """SHA-256 content key of a patch system's raw inputs (K, C).
-
-    Two patches with equal keys have equal local stiffness and
-    constraint rows, array for array, and so the same factorization.
-    """
-    h = hashlib.sha256()
-    for data, indices, indptr, shape in (K, C):
-        h.update(f"{shape}{indptr.dtype}{indices.dtype}{data.dtype};".encode())
-        for a in (indptr, indices, data):
-            h.update(memoryview(a))  # contiguous arrays, hashed without a copy
+def _digest(cut):
+    """SHA-256 content key of one raw CSR cut: equal keys, equal arrays."""
+    data, indices, indptr, shape = cut
+    h = hashlib.sha256(f"{shape}{indptr.dtype}{indices.dtype}{data.dtype};".encode())
+    for a in (indptr, indices, data):
+        h.update(memoryview(a))  # contiguous arrays, hashed without a copy
     return h.digest()
 
 
-def _saddle_system(cut):
-    return SaddleSystem(*(sparse.csr_matrix(M[:3], shape=M[3]) for M in cut))
+def _system_key(ctx, op, T, k, dofs):
+    """Content key of the patch system of (T, k): the digests of its stiffness half,
+    cached per (T, k) on the context, and of its constraint half, cached per (T, k)
+    on the operator.  The stiffness half depends only on (alpha, T, k) and the
+    constraint half only on (operator, T, k), so each is cut and hashed once for
+    every operator, or every contrast, that shares it.  Two patches with equal keys
+    have equal local stiffness and constraint rows, array for array, and so the
+    same factorization."""
+    with ctx.mesh.patch_lock:
+        K_digest = ctx.stiffness_digests.get((T, k))
+        if K_digest is None:
+            K_digest = ctx.stiffness_digests[(T, k)] = _digest(_stiffness_cut(ctx.stiffness, dofs))
+        C_digest = op.constraint_digests.get((T, k))
+        if C_digest is None:
+            C_digest = op.constraint_digests[(T, k)] = _digest(_constraint_cut(op.matrix_csc, dofs))
+    return K_digest, C_digest
+
+
+def _saddle_system(ctx, op, dofs):
+    """The patch system on ``dofs``, cut from K and R."""
+    K, C = _stiffness_cut(ctx.stiffness, dofs), _constraint_cut(op.matrix_csc, dofs)
+    return SaddleSystem(*(sparse.csr_matrix(M[:3], shape=M[3]) for M in (K, C)))
 
 
 def _element_solve(ctx, system, T, dofs, verts, load=None):
@@ -156,7 +177,7 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
     dofs = _patch_dofs(ctx, T, _resolve_k(mesh, k))
-    system = _saddle_system(_patch_cut(ctx, op, dofs))
+    system = _saddle_system(ctx, op, dofs)
     out = np.zeros(mesh.fine.num_nodes)
     out[dofs] = _element_solve(ctx, system, T, dofs, [int(i)])[:, 0]
     return out
@@ -182,11 +203,12 @@ class CorrectorSet:
 def compute_correctors(ctx, op, k, f_spec=None):
     """All node correctors, and the summed RHS correction of ``f_spec`` (zero without).
 
-    Pass 1 visits the coarse elements with work (a free vertex, or a
-    nonzero element load) and keys each by a digest of its patch
-    system's local inputs.  Pass 2 visits them sorted by (digest,
-    element), factorizes one system per run of equal digests and solves
-    each element's right-hand sides with it.  The solutions are summed
+    Pass 1 visits the coarse elements with work (a free vertex, or an
+    element load nonzero on a free node) and keys each by the pair of
+    digests of its patch system's stiffness and constraint halves
+    (``_system_key``).  Pass 2 visits them sorted by (key, element),
+    factorizes one system per run of equal keys and solves each
+    element's right-hand sides with it.  The solutions are summed
     in ascending element order, as a one-by-one traversal sums them, so
     the results do not depend on the grouping.
     """
@@ -196,18 +218,18 @@ def compute_correctors(ctx, op, k, f_spec=None):
     row_of = {int(z): idx for idx, z in enumerate(free)}
     n_fine = mesh.fine.num_nodes
 
-    work = []  # (digest, T, dofs, free vertices, T's load on its own nodes or None)
+    work = []  # (system key, T, dofs, free vertices, T's load on its own nodes or None)
     for T in range(mesh.coarse.num_elements):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
         load = None
         if f_spec is not None:
             load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))[1]
-            load = load if load.any() else None
+            # a load on Dirichlet nodes only would give an all-zero right-hand side
+            load = load if load.any() and load[_element_rhs(ctx, T)[1]].any() else None
         if not verts and load is None:
             continue
         dofs = _patch_dofs(ctx, T, k)
-        digest = _system_digest(*_patch_cut(ctx, op, dofs))
-        work.append((digest, T, dofs, verts, load))
+        work.append((_system_key(ctx, op, T, k, dofs), T, dofs, verts, load))
 
     # Q's entries go in element order, vertex by vertex, into one block
     sizes = [len(verts) * len(dofs) for _, _, dofs, verts, _ in work]
@@ -217,14 +239,14 @@ def compute_correctors(ctx, op, k, f_spec=None):
     q_vals = np.empty(offsets[-1])
 
     factorizations = dropped_rows = 0
-    system = digest_of_system = None
+    system = key_of_system = None
     u_parts = {}  # work index -> solution of its load on its dofs
     for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
-        digest, T, dofs, verts, load = work[idx]
-        if digest != digest_of_system:
+        key, T, dofs, verts, load = work[idx]
+        if key != key_of_system:
             system = None  # free the previous factorization before the next one
-            system = _saddle_system(_patch_cut(ctx, op, dofs))
-            digest_of_system = digest
+            system = _saddle_system(ctx, op, dofs)
+            key_of_system = key
             factorizations += 1
             dropped_rows += len(system.dropped_rows)
         U = _element_solve(ctx, system, T, dofs, verts, load)

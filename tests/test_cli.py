@@ -195,6 +195,8 @@ def test_python_dash_m_entry_points(tmp_path):
         "off-lattice-rect-load",
         "off-lattice-hat-load",
         "outside-hat-load",
+        "dirichlet-corner-hat-load",
+        "far-dirichlet-corner-hat-load",
         "empty-csv-value",
         "csv-path-is-directory",
         "output-under-a-file",
@@ -251,6 +253,8 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
             "off-lattice-rect-load": "rect:0,0.3,0,1",
             "off-lattice-hat-load": "hat:0.5,0.01",
             "outside-hat-load": "hat:1.5,0.5",
+            "dirichlet-corner-hat-load": "hat:0,0",
+            "far-dirichlet-corner-hat-load": "hat:1,1",
         }[case]
         base = TINY.replace("f = const:1\n", "")
         cfg = write_config(tmp_path, f"f = {load}\ncsv = {tmp_path}/d.csv\n", base=base)

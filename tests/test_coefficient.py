@@ -157,6 +157,20 @@ def test_field_fraction_and_determinism(mesh36):
     )
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [gen_stripes, lambda mesh, alpha: gen_random_balls(mesh, alpha, 4),
+     lambda mesh, alpha: gen_random_field(mesh, alpha, 1)],
+    ids=["stripes", "balls", "field"],
+)
+def test_is_one_independent_of_alpha(mesh36, generate):
+    """Every generator fixes its geometry before alpha: the sweep builds the
+    operators that read only is_one once for all contrasts."""
+    base = generate(mesh36, 1.0).is_one
+    for alpha in (1e-1, 1e-3, 1e-5):
+        assert np.array_equal(generate(mesh36, alpha).is_one, base)
+
+
 def test_field_degenerate_fraction(mesh36):
     assert gen_random_field(mesh36, 0.01, 3, one_fraction=0.0).is_one.sum() == 0
 

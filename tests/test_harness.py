@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import lod2d.harness as harness
-from lod2d.assembly import LoadSpec
+from lod2d.assembly import BilinearFormContext, LoadSpec
+from lod2d.coefficient import Coefficient
 from lod2d.errors import DegenerateSigmaError, ParameterError
 from lod2d.harness import (
     CSV_HEADER,
@@ -20,7 +21,8 @@ from lod2d.harness import (
     run_experiment,
     write_csv,
 )
-from lod2d.interp import build_operator
+from lod2d.interp import ALPHA_FREE_KINDS, OPERATOR_KINDS, build_operator
+from lod2d.lod import reference_solution
 
 
 def tiny_config(tmp_path, **overrides):
@@ -106,6 +108,25 @@ def test_config_validation():
             ExperimentConfig(**{**good, "delta": delta})
 
 
+def test_hat_on_dirichlet_nodes_only_rejected():
+    """A hat whose point and hexagon neighbours all lie on Dirichlet edges
+    loads no free node: the config rejects it, the library still solves it."""
+    good = dict(
+        coarse_level=2, fine_level=4, coefficient="field",
+        alphas=(0.5,), operators=("SZ",), ks=(1,), f=LoadSpec.constant(),
+    )
+    for x, y in ((0.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ParameterError, match="Dirichlet nodes only"):
+            ExperimentConfig(**{**good, "f": LoadSpec.hat(x, y)})
+        ExperimentConfig(**{**good, "f": LoadSpec.hat(x, y), "dirichlet": ("left", "top")})
+    # the NW-SE diagonal joins these corners to an interior node
+    for x, y in ((1.0, 0.0), (0.0, 1.0)):
+        ExperimentConfig(**{**good, "f": LoadSpec.hat(x, y)})
+    mesh = ExperimentConfig(**good).mesh()
+    ctx = BilinearFormContext(mesh, Coefficient(0.5, np.ones(mesh.fine.num_elements, bool)))
+    assert not reference_solution(ctx, LoadSpec.hat(0.0, 0.0)).any()
+
+
 def test_paper_shaped_sweep_has_216_cells():
     config = ExperimentConfig(
         coarse_level=4,
@@ -136,8 +157,12 @@ def test_run_experiment_writes_sorted_csv(tmp_path):
 
 
 def test_run_experiment_records_failures_without_dropping_rows(tmp_path, monkeypatch):
-    # the IH build fails (a degenerate dual system): IH cells fail, the rest run
+    # the IH build fails (a degenerate dual system): IH cells fail, the rest run;
+    # IH and SZ read only is_one, so each is built once for both alphas
+    calls = []
+
     def failing_ih(kind, *args, **kwargs):
+        calls.append(kind)
         if kind == "IH":
             raise DegenerateSigmaError("IH: node 0: forced")
         return build_operator(kind, *args, **kwargs)
@@ -145,12 +170,30 @@ def test_run_experiment_records_failures_without_dropping_rows(tmp_path, monkeyp
     monkeypatch.setattr(harness, "build_operator", failing_ih)
     config = tiny_config(tmp_path, operators=("IH", "SZ"))
     rows = run_experiment(config)
+    assert calls == ["IH", "SZ"]
     assert len(rows) == len(config.sweep_cells())
     ih_rows = [r for r in rows if r.operator == "IH"]
     assert ih_rows and all(r.status == "failed" for r in ih_rows)
     assert all(np.isnan(r.rel_energy_error) for r in ih_rows)
     sz_rows = [r for r in rows if r.operator == "SZ"]
     assert sz_rows and all(r.status == "ok" for r in sz_rows)
+
+
+def test_alpha_free_operators_built_once_per_sweep(tmp_path, monkeypatch):
+    """The operators that read only is_one are built once and shared by both
+    alphas; the coefficient-weighted ones are built once per alpha."""
+    built = []
+
+    def counting(kind, *args, **kwargs):
+        built.append(kind)
+        return build_operator(kind, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_operator", counting)
+    rows = run_experiment(tiny_config(tmp_path, operators=OPERATOR_KINDS, ks=(1,)))
+    assert all(r.status == "ok" for r in rows)
+    assert {kind: built.count(kind) for kind in OPERATOR_KINDS} == {
+        kind: 1 if kind in ALPHA_FREE_KINDS else 2 for kind in OPERATOR_KINDS
+    }
 
 
 def test_run_experiment_deterministic_bytes(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import lod2d.lod as lod
 from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
-from lod2d.interp import OPERATOR_KINDS, build_operator
+from lod2d.interp import OPERATOR_KINDS, build_operator, coverage_report
 from lod2d.lod import (
     compute_correctors,
     decay_profile,
@@ -211,7 +211,7 @@ def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
     assert grouped.factorizations < grouped.element_solves
 
     unique = itertools.count()
-    monkeypatch.setattr(lod, "_system_digest", lambda K, C: next(unique).to_bytes(8, "big"))
+    monkeypatch.setattr(lod, "_system_key", lambda ctx, op, T, k, dofs: next(unique))
     single, u_single = compute_correctors(ctx, op, k, f_spec=f)
     assert single.factorizations == single.element_solves == grouped.element_solves
     for attr in ("data", "indices", "indptr"):
@@ -223,17 +223,17 @@ def test_factorization_counters(small, stripes_l3, monkeypatch):
     mesh, coef, ctx = stripes_l3
     op = build_operator("IH", mesh, coef)
     f = LoadSpec.constant(1.0)
-    digests = []
-    digest = lod._system_digest
+    keys = []
+    system_key = lod._system_key
 
-    def recording(K, C):
-        digests.append(digest(K, C))
-        return digests[-1]
+    def recording(*args):
+        keys.append(system_key(*args))
+        return keys[-1]
 
-    monkeypatch.setattr(lod, "_system_digest", recording)
+    monkeypatch.setattr(lod, "_system_key", recording)
     correctors, _ = compute_correctors(ctx, op, 1, f_spec=f)
-    assert correctors.element_solves == len(digests) == mesh.coarse.num_elements
-    assert correctors.factorizations == len(set(digests)) < mesh.coarse.num_elements
+    assert correctors.element_solves == len(keys) == mesh.coarse.num_elements
+    assert correctors.factorizations == len(set(keys)) < mesh.coarse.num_elements
 
     _, _, ctx_balls, op_balls = small
     sol = solve_multiscale(ctx_balls, op_balls, 1, f)
@@ -258,8 +258,9 @@ def test_raw_patch_cuts_equal_scipy_slicing(coefficient):
         for k, T in itertools.product((1, 2, 3, saturation_k(mesh)), elements):
             patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
             dofs = patch_free_dofs(ctx, patch)[0]
-            assert np.array_equal(lod._patch_dofs(ctx, T, k), dofs)
-            cuts = lod._patch_cut(ctx, op, lod._patch_dofs(ctx, T, k))
+            cached = lod._patch_dofs(ctx, T, k)
+            assert np.array_equal(cached, dofs)
+            cuts = lod._stiffness_cut(ctx.stiffness, cached), lod._constraint_cut(op.matrix_csc, cached)
             for raw, ref in zip(cuts, scipy_patch_cut(ctx, op, dofs)):
                 assert raw[3] == ref.shape, (kind, k, T)
                 for a, b in zip(raw[:3], (ref.data, ref.indices, ref.indptr)):
@@ -313,11 +314,13 @@ def test_patch_bookkeeping_built_once_per_mesh_and_context(stripes_l3, monkeypat
 
 
 def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
-    """More threads than cores, switching every microsecond, share the mesh
-    and context caches: each entry is built once and every thread gets it."""
+    """More threads than cores, switching every microsecond, share the mesh,
+    context and operator caches: each entry is built once and every thread
+    gets it."""
     mesh = build_hierarchy(2, 5, BoundarySpec.all_edges())
     ctx = BilinearFormContext(mesh, gen_random_balls(mesh, 0.05, 4))
-    calls = {"element_patch": [], "assemble_stiffness": []}
+    ops = [build_operator(kind, mesh, ctx.coef) for kind in ("IH", "SZ")]
+    calls = {"element_patch": [], "assemble_stiffness": [], "_stiffness_cut": [], "_constraint_cut": []}
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(lod, name), **kwargs):
             calls[_name].append(1)  # list.append is atomic
@@ -326,7 +329,12 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
     elements, ks = range(mesh.coarse.num_elements), (1, 2, saturation_k(mesh))
 
     def work():
-        return [(lod._patch_dofs(ctx, T, k), lod._element_rhs(ctx, T)) for T in elements for k in ks]
+        out = []
+        for T, k in itertools.product(elements, ks):
+            dofs = lod._patch_dofs(ctx, T, k)
+            keys = [half for op in ops for half in lod._system_key(ctx, op, T, k, dofs)]
+            out.append((dofs, lod._element_rhs(ctx, T), *keys))
+        return out
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -339,8 +347,49 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(calls["element_patch"]) == len(elements) * len(ks)
     assert len(calls["assemble_stiffness"]) == len(elements)
+    assert len(calls["_stiffness_cut"]) == len(elements) * len(ks)
+    assert len(calls["_constraint_cut"]) == len(ops) * len(elements) * len(ks)
     for result in results[1:]:
-        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(result, results[0]))
+        assert all(x is y for a, b in zip(result, results[0]) for x, y in zip(a, b))
+
+
+def test_pass_one_cuts_each_half_once_per_owner(monkeypatch):
+    """Over a sweep of two alphas and two operators, each shared by both
+    alphas as run_experiment shares them, pass 1 cuts a patch's stiffness half
+    once per (alpha, T, k) and its constraint half once per (operator, T, k);
+    pass 2 cuts both once per factorization."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    contexts = [BilinearFormContext(mesh, gen_stripes(mesh, alpha)) for alpha in (1e-1, 1e-3)]
+    ops = [build_operator(kind, mesh, contexts[0].coef) for kind in ("IH", "SZ")]
+    calls = {"_stiffness_cut": 0, "_constraint_cut": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(lod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lod, name, counting)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    factorizations, solves = 0, {}
+    for ctx, op, k in itertools.product(contexts, ops, (1, 2)):
+        correctors = compute_correctors(ctx, op, k, f_spec=f)[0]
+        factorizations += correctors.factorizations
+        solves[k] = correctors.element_solves  # the same elements in every cell
+    per_owner = 2 * (solves[1] + solves[2])  # two alphas, or two operators, times (T, k)
+    assert calls["_stiffness_cut"] - factorizations == per_owner
+    assert calls["_constraint_cut"] - factorizations == per_owner
+    assert sum(len(ctx.stiffness_digests) for ctx in contexts) == per_owner
+    assert sum(len(op.constraint_digests) for op in ops) == per_owner
+
+
+def test_load_on_dirichlet_nodes_only_is_not_solved():
+    """A hat at a corner between two Dirichlet edges loads only Dirichlet
+    nodes of the corner element, whose vertices are all constrained: that
+    element has no work, and the right-hand-side correction is zero."""
+    mesh = build_hierarchy(2, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 1e-3)
+    ctx = BilinearFormContext(mesh, coef)
+    correctors, u_f = compute_correctors(ctx, build_operator("SZ", mesh, coef), 1, LoadSpec.hat(0.0, 0.0))
+    assert correctors.element_solves == correctors.factorizations == 30
+    assert not u_f.any()
 
 
 def test_dropped_rows_counted(small, monkeypatch):
@@ -365,6 +414,32 @@ def test_dropped_rows_counted(small, monkeypatch):
     sol = solve_multiscale(ctx, redundant, 1, LoadSpec.constant(1.0))
     assert sol.metadata["dropped_rows"] == sum(len(s.dropped_rows) for s in systems) > 0
     assert solve_multiscale(ctx, op, 1, LoadSpec.constant(1.0)).metadata["dropped_rows"] == 0
+
+
+def test_uncovered_stripes_cause_criterion_6():
+    """Criterion 6 fails on the L=3 stripes because of the stripes that no
+    coarse node row meets (the node-placement hypothesis).  Split the stripes
+    by their centre row y = j/16: IH's class I domains reach each of the 7
+    with j even, which lie on coarse node rows, and on those alone IH decays
+    at every contrast as criterion 6 asks; they reach none of the 8 with j odd."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    row = np.rint(16 * mesh.fine.barycenters()[:, 1]) % 2  # every stripe lies within h of its row
+    stripes = gen_stripes(mesh, 1.0).is_one
+    masks = {"even": stripes & (row == 0), "odd": stripes & (row == 1)}
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    coefs = {name: Coefficient(1.0, is_one) for name, is_one in masks.items()}
+    ops = {name: build_operator("IH", mesh, coef) for name, coef in coefs.items()}  # alpha-free
+    uncovered = {name: coverage_report(mesh, coefs[name], op.node_variables).uncovered_components
+                 for name, op in ops.items()}
+    assert uncovered == {"even": 0, "odd": 8}
+    op = ops["even"]
+    for alpha in (1e-1, 1e-3, 1e-5):
+        ctx = BilinearFormContext(mesh, Coefficient(alpha, masks["even"]))
+        u_ref = reference_solution(ctx, f)
+        errs = [relative_energy_error(ctx, u_ref, solve_multiscale(ctx, op, k, f).u_total)
+                for k in (1, 2, 3, 4, 5)]
+        assert all(b <= a + 1e-8 for a, b in zip(errs, errs[1:])), (alpha, errs)
+        assert errs[4] / errs[1] < 0.2, (alpha, errs)
 
 
 def test_rhs_support_element_count():
