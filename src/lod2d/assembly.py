@@ -7,6 +7,7 @@ loads included, returns the ascending fine nodes a region touches and the
 matrix or vector in that local numbering, so no patch, integration domain
 or element costs an array the size of the fine mesh.  The numbering is
 monotone, so the values are a whole-mesh numbering's, entry for entry.
+A list of regions is assembled as one stacked region, its blocks uncoupled.
 """
 
 from __future__ import annotations
@@ -30,12 +31,17 @@ SADDLE_RTOL = 1e-9
 
 def _region(mesh: MeshHierarchy, region):
     """(elems, nodes, verts): the region's fine elements (all by default), the
-    ascending fine nodes they touch, and the elements' vertices in that numbering."""
+    ascending fine nodes they touch, and the elements' vertices in that numbering.
+    A list of element arrays is a stacked region, block b's node n keyed b * n_fine + n."""
     if region is None:
         nodes = np.arange(mesh.fine.num_nodes, dtype=np.int64)
         return np.arange(mesh.fine.num_elements, dtype=np.int64), nodes, mesh.fine.elements
-    elems = np.asarray(region, dtype=np.int64)
-    nodes, verts = np.unique(mesh.fine.elements[elems], return_inverse=True)
+    stacked = isinstance(region, list) and len(region) > 0 and np.ndim(region[0]) == 1
+    blocks = region if stacked else [region]
+    elems = np.concatenate(blocks).astype(np.int64)
+    block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    keys = block[:, None] * mesh.fine.num_nodes + mesh.fine.elements[elems]
+    nodes, verts = np.unique(keys, return_inverse=True)
     return elems, nodes, verts.reshape(-1, 3)
 
 

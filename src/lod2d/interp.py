@@ -37,11 +37,12 @@ DUAL_BASIS_KINDS = ("SZ", "IH", "IH1")  # the unweighted duals: kappa is defined
 # read the coefficient only through is_one, so one build serves every alpha
 ALPHA_FREE_KINDS = ("SZ", "nodal", "IH", "IH1")
 CONDITION_LIMIT = 1e14
+DUAL_CHUNK = 16  # node variables per dual_basis call; a larger chunk costs peak memory
 
 
 @dataclass
 class NodeVariable:
-    """One coarse node's integration domain, dual weights, stability constant and row."""
+    """One coarse node's integration domain, dual weights and stability constant."""
 
     node: int
     cls: str  # "I", "II" or "plain"
@@ -49,7 +50,6 @@ class NodeVariable:
     support_nodes: np.ndarray  # coarse nodes whose hats meet sigma, own node first
     xi: np.ndarray
     kappa: float  # NaN for the coefficient-weighted duals
-    row: sparse.csr_matrix  # 1 x fine nodes: v -> int_sigma w psi v, this node's row of R
 
 
 @dataclass
@@ -76,21 +76,6 @@ class InterpOperator:
         return R
 
 
-def _coarse_gram(P_rows, mass, own_node):
-    """Gram matrix P^T M P of the coarse hats with positive mass in M, own node first
-    (M a region's mass matrix on its nodes, P_rows the prolongation rows of those nodes)."""
-    Mc = (P_rows.T @ (mass @ P_rows)).tocsr()
-    diag = Mc.diagonal()
-    support = np.flatnonzero(diag > 0.0)
-    if own_node not in support:
-        raise DegenerateSigmaError(
-            f"own node {own_node} has no hat mass on the integration domain"
-        )
-    order = np.concatenate([[own_node], support[support != own_node]])
-    M = Mc[np.ix_(order, order)].toarray()
-    return order.astype(np.int64), M
-
-
 def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
     """(Weighted) L2(sigma)-dual of the own node's hat against all hats meeting sigma.
 
@@ -98,42 +83,69 @@ def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
     sigma, own node ordered first; then psi = sum_k xi_k phi_k satisfies
     int_sigma w psi phi_j = delta_1j.  Returns (support, xi, row) with
     row = M_sigma (P psi) as a 1 x (fine nodes) CSR, the node variable
-    as a fine-node functional: row @ v = int_sigma w psi v.  The Gram
-    matrix and the row come from one (weighted) sigma mass matrix
-    M_sigma, assembled on sigma's nodes with their rows of P.
+    as a fine-node functional: row @ v = int_sigma w psi v.
+
+    A list of sigmas with an array of own nodes gives lists of supports and
+    xis and one CSR of rows.  The sigmas are the blocks of one stacked region,
+    each with its own copy of its nodes and their coarse columns, so every
+    block sums the same terms in the same order as alone; the first failing node raises.
     """
-    idx = sigma.indices if isinstance(sigma, ElementSet) else np.asarray(sigma)
-    if len(idx) == 0:
-        raise DegenerateSigmaError("integration domain is empty")
-    nodes, mass = assemble_mass(mesh, region=idx, weight=weight)
-    P_rows = mesh.prolongation_matrix[nodes]
-    support, M = _coarse_gram(P_rows, mass, own_node)
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateSigmaError(
-            f"node {own_node}: dual system condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
-        )
-    e1 = np.zeros(len(support))
-    e1[0] = 1.0
-    xi = np.linalg.solve(M, e1)
-    w = np.zeros(mesh.coarse.num_nodes)
-    w[support] = xi
-    row = mass @ (P_rows @ w)
-    nz = np.flatnonzero(row)
-    row = sparse.csr_matrix((row[nz], nodes[nz], [0, len(nz)]), shape=(1, mesh.fine.num_nodes))
-    return support, xi, row
+    single = np.ndim(own_node) == 0
+    sigmas, own = ([sigma], np.array([own_node])) if single else (sigma, np.asarray(own_node))
+    blocks = [s.indices if isinstance(s, ElementSet) else np.asarray(s) for s in sigmas]
+    n_fine, n_coarse = mesh.fine.num_nodes, mesh.coarse.num_nodes
+    keys, mass = assemble_mass(mesh, region=blocks, weight=weight)
+    P = mesh.prolongation_matrix[keys % n_fine]
+    # block b's copy of coarse node c is column b * n_coarse + c, renumbered ascending
+    cols, inv = np.unique(np.repeat(keys // n_fine, np.diff(P.indptr)) * n_coarse + P.indices,
+                          return_inverse=True)
+    P = sparse.csr_matrix((P.data, inv, P.indptr), shape=(len(keys), len(cols)))
+    gram = (P.T @ (mass @ P)).toarray()
+    block, node = cols // n_coarse, cols % n_coarse
+    hats = np.flatnonzero(np.diagonal(gram) > 0.0)  # grouped by block, own node first
+    hats = hats[np.lexsort((hats, node[hats] != own[block[hats]], block[hats]))]
+    hats = np.split(hats, np.cumsum(np.bincount(block[hats], minlength=len(own)))[:-1])
+    supports, xis = [], []
+    w = np.zeros(len(cols))
+    for z, idx, h in zip(own, blocks, hats):
+        if len(idx) == 0:
+            raise DegenerateSigmaError("integration domain is empty")
+        if len(h) == 0 or node[h[0]] != z:
+            raise DegenerateSigmaError(f"own node {z} has no hat mass on the integration domain")
+        M = gram[np.ix_(h, h)]
+        cond = np.linalg.cond(M)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise DegenerateSigmaError(
+                f"node {z}: dual system condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
+            )
+        xis.append(np.linalg.solve(M, np.eye(len(h))[0]))
+        supports.append(node[h])
+        w[h] = xis[-1]
+    vals = mass @ (P @ w)
+    nz = np.flatnonzero(vals)
+    indptr = np.append(0, np.cumsum(np.bincount(keys[nz] // n_fine, minlength=len(own))))
+    rows = sparse.csr_matrix((vals[nz], keys[nz] % n_fine, indptr), shape=(len(own), n_fine))
+    return (supports[0], xis[0], rows) if single else (supports, xis, rows)
 
 
 def kappa(mesh: MeshHierarchy, sigma, own_node):
     """Dual-basis stability constant kappa = H^{d/2} ||psi||_{L2(sigma)} (d = 2)."""
-    return _dual_node_variable(mesh, own_node, "plain", sigma).kappa
+    return float(np.sqrt(mesh.H**2 * dual_basis(mesh, sigma, own_node)[1][0]))
 
 
-def _dual_node_variable(mesh, z, cls, sigma, weight=None):
-    """The node variable of z on sigma, with its fine row; kappa only without weight."""
-    support, xi, row = dual_basis(mesh, sigma, z, weight)
-    k = float(np.sqrt(mesh.H**2 * xi[0])) if weight is None else float("nan")
-    return NodeVariable(int(z), cls, sigma, support, xi, k, row)
+def _node_variables(mesh, classes, sigmas, weight=None):
+    """The free nodes' variables on their sigmas, kappa only without weight, and the
+    operator matrix of their rows, built DUAL_CHUNK nodes to one ``dual_basis`` call."""
+    free = mesh.free_coarse_nodes
+    nodevars, rows = [], []
+    for a in range(0, len(free), DUAL_CHUNK):
+        part = slice(a, a + DUAL_CHUNK)
+        supports, xis, R = dual_basis(mesh, sigmas[part], free[part], weight)
+        rows.append(R)
+        for z, cls, sigma, support, xi in zip(free[part], classes[part], sigmas[part], supports, xis):
+            k = float(np.sqrt(mesh.H**2 * xi[0])) if weight is None else float("nan")
+            nodevars.append(NodeVariable(int(z), cls, sigma, support, xi, k))
+    return nodevars, sparse.vstack(rows, format="csr")
 
 
 def _incident_fine_elements(mesh, z):
@@ -156,8 +168,8 @@ def _reachable(mesh, allowed, seeds, values=None):
     return idx[reached]
 
 
-def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
-    """Class I/II node variables for the geometry-induced operator family.
+def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta):
+    """Class I/II node variables for the geometry-induced family, and their rows of R.
 
     A free node all of whose incident fine elements carry the small value
     is class II with sigma the delta-scaled node patch.  Otherwise it is
@@ -165,7 +177,7 @@ def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
     element, sigma collects every fine element of the node patch
     reachable through edge-incident value-1 elements.
     """
-    nodevars = []
+    classes, sigmas = [], []
     for z in mesh.free_coarse_nodes:
         incident = _incident_fine_elements(mesh, z)
         flagged = incident[coef.is_one[incident]]
@@ -176,8 +188,9 @@ def classify_nodes_ih(mesh: MeshHierarchy, coef: Coefficient, delta) -> list:
             allowed = mesh.fine_set(node_patch(mesh, z)).mask(mesh.fine.num_elements) & coef.is_one
             sigma = ElementSet(mesh.fine_level, _reachable(mesh, allowed, flagged.min()))
             cls = "I"
-        nodevars.append(_dual_node_variable(mesh, z, cls, sigma))
-    return nodevars
+        classes.append(cls)
+        sigmas.append(sigma)
+    return _node_variables(mesh, classes, sigmas)
 
 
 def quasi_monotone_region(mesh: MeshHierarchy, coef: Coefficient, z) -> ElementSet:
@@ -219,19 +232,14 @@ def build_operator(kind, mesh: MeshHierarchy, coef: Coefficient, delta=None) -> 
         delta = None
     try:
         if kind in ("IH", "IH1"):
-            nodevars = classify_nodes_ih(mesh, coef, delta)
+            nodevars, R = classify_nodes_ih(mesh, coef, delta)
         else:
+            sigmas = [quasi_monotone_region(mesh, coef, z) if kind == "AprojQM"
+                      else mesh.fine_set(node_patch(mesh, z)) for z in free]
             weight = None if kind == "SZ" else coef
-            nodevars = []
-            for z in free:
-                if kind == "AprojQM":
-                    sigma = quasi_monotone_region(mesh, coef, z)
-                else:
-                    sigma = mesh.fine_set(node_patch(mesh, z))
-                nodevars.append(_dual_node_variable(mesh, z, "plain", sigma, weight))
+            nodevars, R = _node_variables(mesh, ["plain"] * len(free), sigmas, weight)
     except DegenerateSigmaError as exc:
         raise DegenerateSigmaError(f"{kind}: {exc}") from exc
-    R = sparse.vstack([nv.row for nv in nodevars], format="csr")
     return InterpOperator(kind, R, free, node_variables=nodevars, delta=delta)
 
 

@@ -216,16 +216,19 @@ def compute_correctors(ctx, op, k, f_spec=None):
     k = _resolve_k(mesh, k)
     free = op.free_nodes
     row_of = {int(z): idx for idx, z in enumerate(free)}
-    n_fine = mesh.fine.num_nodes
+    n_fine, n_elements = mesh.fine.num_nodes, mesh.coarse.num_elements
+    if f_spec is not None:  # each element's load on its own nodes, from one stacked region
+        blocks = [mesh.fine_elements_of_coarse([T]) for T in range(n_elements)]
+        keys, loads = assemble_load(mesh, f_spec, blocks)
+        loads = np.split(loads, np.searchsorted(keys, np.arange(1, n_elements) * n_fine))
 
     work = []  # (system key, T, dofs, free vertices, T's load on its own nodes or None)
-    for T in range(mesh.coarse.num_elements):
+    for T in range(n_elements):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
-        load = None
-        if f_spec is not None:
-            load = assemble_load(mesh, f_spec, region=mesh.fine_elements_of_coarse([T]))[1]
-            # a load on Dirichlet nodes only would give an all-zero right-hand side
-            load = load if load.any() and load[_element_rhs(ctx, T)[1]].any() else None
+        load = None if f_spec is None else loads[T]
+        # a load on Dirichlet nodes only would give an all-zero right-hand side
+        if load is not None and not (load.any() and load[_element_rhs(ctx, T)[1]].any()):
+            load = None
         if not verts and load is None:
             continue
         dofs = _patch_dofs(ctx, T, k)

@@ -73,7 +73,10 @@ class ElementSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        # a fresh copy, which callers passing ascending indices need not sort
+        idx = np.array(self.indices, dtype=np.int64).reshape(-1)
+        if (idx[1:] <= idx[:-1]).any():
+            idx = np.unique(idx)
         object.__setattr__(self, "indices", idx)
 
     def __len__(self):

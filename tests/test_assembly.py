@@ -242,6 +242,31 @@ def test_region_loads_are_the_full_size_entries(levels):
         assert not full[outside].any()
 
 
+def test_stacked_region_is_its_blocks_side_by_side(mesh):
+    """A list of regions assembles as one block-diagonal region: block b's node n is
+    keyed b * n_fine + n, and each block's matrix and load are, array for array,
+    the ones the block assembles alone, overlapping blocks included."""
+    coef = gen_random_field(mesh, 1e-2, 3)
+    rng = np.random.default_rng(11)
+    blocks = [np.sort(rng.choice(mesh.fine.num_elements, size=rng.integers(1, 60), replace=False))
+              for _ in range(5)]
+    n = mesh.fine.num_nodes
+    for assemble in (lambda r: assemble_mass(mesh, r, coef), lambda r: assemble_stiffness(mesh, coef, r),
+                     lambda r: assemble_load(mesh, LoadSpec.rectangle(0.25, 0.75, 0.0, 0.5), r)):
+        keys, stacked = assemble(blocks)
+        alone = [assemble(b) for b in blocks]
+        assert np.array_equal(keys, np.concatenate([b * n + nodes for b, (nodes, _) in enumerate(alone)]))
+        want = [m for _, m in alone]
+        want = sparse.block_diag(want, format="csr") if sparse.issparse(want[0]) else np.concatenate(want)
+        for attr in ("data", "indices", "indptr") if sparse.issparse(want) else ("real",):
+            got, exp = getattr(stacked, attr), getattr(want, attr)
+            assert got.dtype == exp.dtype and np.array_equal(got, exp), attr
+    # a list of element indices is one region, not a stack
+    for one, want in ((assemble_mass(mesh, [3, 1, 2]), assemble_mass(mesh, np.array([3, 1, 2]))),
+                      (assemble_mass(mesh, []), assemble_mass(mesh, np.arange(0)))):
+        assert np.array_equal(one[0], want[0]) and (one[1] != want[1]).nnz == 0
+
+
 def test_load_hat_is_mass_column(mesh):
     load = assemble_load(mesh, LoadSpec.hat(0.5, 0.125))[1]
     node = mesh.fine.node_index(16, 4)

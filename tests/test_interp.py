@@ -3,13 +3,15 @@ import pytest
 from collections import deque
 from fractions import Fraction
 
+import scipy.sparse as sparse
+
 import lod2d.interp as interp
 from lod2d.assembly import assemble_mass
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
 from lod2d.errors import DegenerateSigmaError, ParameterError
 from lod2d.interp import (
+    DUAL_CHUNK,
     OPERATOR_KINDS,
-    _coarse_gram,
     build_operator,
     classify_nodes_ih,
     coverage_report,
@@ -19,6 +21,39 @@ from lod2d.interp import (
 )
 from lod2d.mesh import BoundarySpec, ElementSet, build_hierarchy, node_patch
 from test_assembly import full_size_mass
+
+
+def _coarse_gram(P_rows, mass, own_node):
+    """Gram matrix P^T M P of the coarse hats with positive mass in M, own node first
+    (M a region's mass matrix on its nodes, P_rows the prolongation rows of those nodes)."""
+    Mc = (P_rows.T @ (mass @ P_rows)).tocsr()
+    diag = Mc.diagonal()
+    support = np.flatnonzero(diag > 0.0)
+    if own_node not in support:
+        raise DegenerateSigmaError(
+            f"own node {own_node} has no hat mass on the integration domain"
+        )
+    order = np.concatenate([[own_node], support[support != own_node]])
+    M = Mc[np.ix_(order, order)].toarray()
+    return order.astype(np.int64), M
+
+
+def one_node_dual(mesh, sigma, own_node, weight=None):
+    """Oracle: one node variable built on its own, as (support, xi, kappa, row), from
+    its sigma's mass matrix, ``_coarse_gram`` and a dense solve."""
+    nodes, mass = assemble_mass(mesh, region=sigma.indices, weight=weight)
+    P_rows = mesh.prolongation_matrix[nodes]
+    support, M = _coarse_gram(P_rows, mass, own_node)
+    e1 = np.zeros(len(support))
+    e1[0] = 1.0
+    xi = np.linalg.solve(M, e1)
+    w = np.zeros(mesh.coarse.num_nodes)
+    w[support] = xi
+    row = mass @ (P_rows @ w)
+    nz = np.flatnonzero(row)
+    row = sparse.csr_matrix((row[nz], nodes[nz], [0, len(nz)]), shape=(1, mesh.fine.num_nodes))
+    kap = float(np.sqrt(mesh.H**2 * xi[0])) if weight is None else float("nan")
+    return support, xi, kap, row
 
 
 def _reachable_bfs(mesh, allowed, seeds, values=None):
@@ -203,6 +238,21 @@ def test_dual_basis_disjoint_sigma(mesh36):
         dual_basis(mesh36, ElementSet(6, far), z)
 
 
+def test_dual_basis_batch_raises_for_first_failing_node(mesh36):
+    z = mesh36.coarse.node_index(1, 1)
+    good = mesh36.fine_set(node_patch(mesh36, z))
+    far = ElementSet(6, mesh36.fine_elements_of_coarse([mesh36.coarse.num_elements - 1]))
+    empty = ElementSet(6, [])
+    with pytest.raises(DegenerateSigmaError, match="^integration domain is empty$"):
+        dual_basis(mesh36, [good, empty, far], [z, z, z])
+    with pytest.raises(DegenerateSigmaError, match=f"^own node {z} has no hat mass"):
+        dual_basis(mesh36, [good, far, empty], [z, z, z])
+    supports, xis, rows = dual_basis(mesh36, [good, good], np.array([z, z]))
+    assert rows.shape == (2, mesh36.fine.num_nodes)
+    assert np.array_equal(rows[0].toarray(), rows[1].toarray())
+    assert np.array_equal(xis[0], dual_basis(mesh36, good, z)[1])
+
+
 def independent_flood(mesh, allowed, seeds):
     """Oracle flood fill over edge adjacency built from shared vertex pairs."""
     edges = {}
@@ -265,7 +315,7 @@ def test_reachable_matches_bfs_on_random_masks(mesh36):
 
 def test_classify_all_alpha_is_class_two(mesh36):
     coef = Coefficient(0.01, np.zeros(mesh36.fine.num_elements, bool))
-    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))
+    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]
     assert all(nv.cls == "II" for nv in nodevars)
     from lod2d.mesh import scaled_node_patch
 
@@ -276,7 +326,7 @@ def test_classify_all_alpha_is_class_two(mesh36):
 
 def test_classify_stripe_node(mesh36):
     coef = gen_stripes(mesh36, 0.01)
-    nodevars = {nv.node: nv for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4))}
+    nodevars = {nv.node: nv for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]}
     z = mesh36.coarse.node_index(4, 4)  # on the stripe row y = 1/2
     nv = nodevars[z]
     assert nv.cls == "I"
@@ -298,7 +348,7 @@ def test_classify_ball_node(mesh36):
 
     coef = _balls_from_draws(mesh36, 0.01, keep, np.full(289, 6.0 / 128.0))
     z = mesh36.coarse.node_index(4, 4)  # ball center
-    nodevars = {nv.node: nv for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4))}
+    nodevars = {nv.node: nv for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]}
     nv = nodevars[z]
     assert nv.cls == "I"
     patch = mesh36.fine_set(node_patch(mesh36, z))
@@ -310,7 +360,7 @@ def test_classify_ball_node(mesh36):
 
 def test_class_one_sigma_invariants(mesh36):
     coef = gen_random_balls(mesh36, 0.01, 12)
-    for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4)):
+    for nv in classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]:
         assert len(nv.sigma) > 0
         if nv.cls == "I":
             assert coef.is_one[nv.sigma.indices].all()
@@ -335,7 +385,8 @@ def test_operator_projection_property(mesh36):
 
 @pytest.mark.parametrize("family", ["stripes", "balls"])
 def test_dual_rows_come_from_one_sigma_mass(monkeypatch, family):
-    """Each row of R is M_sigma P w of its node variable, from one mass matrix per node."""
+    """Each row of R is M_sigma P w of its node variable, from one stacked mass matrix
+    per chunk of DUAL_CHUNK node variables."""
     mesh = build_hierarchy(2, 6, BoundarySpec.all_edges())
     coef = gen_stripes(mesh, 0.01) if family == "stripes" else gen_random_balls(mesh, 0.01, 3)
     P = mesh.prolongation_matrix
@@ -351,13 +402,40 @@ def test_dual_rows_come_from_one_sigma_mass(monkeypatch, family):
             m.setattr(interp, "assemble_mass", counting_mass)
             calls.clear()
             op = build_operator(kind, mesh, coef)
-            assert len(calls) == len(op.node_variables) == len(op.free_nodes), kind
+            assert len(op.node_variables) == len(op.free_nodes), kind
+            assert len(calls) == -(-len(op.free_nodes) // DUAL_CHUNK), kind
         for i, nv in enumerate(op.node_variables):
             w = np.zeros(mesh.coarse.num_nodes)
             w[nv.support_nodes] = nv.xi
             want = full_size_mass(mesh, region=nv.sigma.indices, weight=weight) @ (P @ w)
             assert np.array_equal(op.matrix.getrow(i).toarray().ravel(), want), (kind, i)
             assert np.isnan(nv.kappa) == (weight is not None), (kind, i)
+
+
+@pytest.mark.parametrize("levels, edges", [((2, 6), ("left", "top")), ((3, 6), None), ((3, 6), ("bottom",))])
+@pytest.mark.parametrize("family", ["stripes", "balls", "field"])
+def test_batched_node_variables_equal_one_node_builds(levels, edges, family):
+    """The chunked build gives, array for array, what building each node variable on
+    its own gives: R (data, indices, indptr and their dtypes), support, xi, kappa.
+    The cases have 16, 49 and 72 free nodes: whole chunks and a partial last one."""
+    boundary = BoundarySpec.all_edges() if edges is None else BoundarySpec.edges(*edges)
+    mesh = build_hierarchy(*levels, boundary)
+    coef = {"stripes": gen_stripes, "balls": lambda m, a: gen_random_balls(m, a, 5),
+            "field": lambda m, a: gen_random_field(m, a, 2)}[family](mesh, 0.01)
+    for kind in ("SZ", "IH", "IH1", "Aproj", "AprojQM"):
+        weight = coef if kind in ("Aproj", "AprojQM") else None
+        op = build_operator(kind, mesh, coef)
+        rows = []
+        for nv in op.node_variables:
+            support, xi, kap, row = one_node_dual(mesh, nv.sigma, nv.node, weight)
+            assert np.array_equal(nv.support_nodes, support) and nv.support_nodes.dtype == support.dtype
+            assert np.array_equal(nv.xi, xi), (kind, nv.node)
+            assert np.array_equal(nv.kappa, kap, equal_nan=True), (kind, nv.node)
+            rows.append(row)
+        want = sparse.vstack(rows, format="csr")
+        for attr in ("data", "indices", "indptr"):
+            got, exp = getattr(op.matrix, attr), getattr(want, attr)
+            assert got.dtype == exp.dtype and np.array_equal(got, exp), (kind, attr)
 
 
 def test_dual_system_error_names_node_and_kind(monkeypatch, mesh36):
@@ -521,12 +599,12 @@ def test_aprojqm_regions_pass_quasi_monotonicity(mesh36):
 def test_coverage_report_stripes(mesh36):
     # L=3: only the even-index stripes hold node rows -> 8 uncovered
     coef = gen_stripes(mesh36, 0.01)
-    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))
+    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]
     report = coverage_report(mesh36, coef, nodevars)
     assert report.uncovered_components == 8
     m4 = build_hierarchy(4, 7, BoundarySpec.all_edges())
     coef4 = gen_stripes(m4, 0.01)
-    nodevars4 = classify_nodes_ih(m4, coef4, Fraction(1, 4))
+    nodevars4 = classify_nodes_ih(m4, coef4, Fraction(1, 4))[0]
     report4 = coverage_report(m4, coef4, nodevars4)
     assert report4.uncovered_components == 0
     assert report4.covered_area_fraction > 0.9
@@ -536,14 +614,14 @@ def test_coverage_report_stripes(mesh36):
 def test_coverage_report_coarse_mesh_misses_stripes():
     m = build_hierarchy(2, 6, BoundarySpec.all_edges())
     coef = gen_stripes(m, 0.01)
-    nodevars = classify_nodes_ih(m, coef, Fraction(1, 4))
+    nodevars = classify_nodes_ih(m, coef, Fraction(1, 4))[0]
     report = coverage_report(m, coef, nodevars)
     assert report.uncovered_components > 0
 
 
 def test_coverage_report_vacuous(mesh36):
     coef = Coefficient(0.01, np.zeros(mesh36.fine.num_elements, bool))
-    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))
+    nodevars = classify_nodes_ih(mesh36, coef, Fraction(1, 4))[0]
     report = coverage_report(mesh36, coef, nodevars)
     assert report.omega1_area == 0.0
     assert report.uncovered_components == 0

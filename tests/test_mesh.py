@@ -249,6 +249,16 @@ def test_element_set_operations():
         union(a, ElementSet(4, [1]))
 
 
+def test_element_set_is_sorted_unique_int64_copy():
+    for given, want in (([5, 1, 3, 1], [1, 3, 5]), ([1, 3, 5], [1, 3, 5]), ([2, 2], [2]), ([], [])):
+        s = ElementSet(3, np.array(given, dtype=np.int32))
+        assert s.indices.dtype == np.int64 and np.array_equal(s.indices, want)
+    ascending = np.arange(4, dtype=np.int64)
+    s = ElementSet(3, ascending)
+    ascending[0] = 9  # the set keeps its own copy
+    assert np.array_equal(s.indices, [0, 1, 2, 3])
+
+
 def test_boundary_spec_masks():
     m = build_hierarchy(2, 3, BoundarySpec.edges("top"))
     mask = m.constrained_coarse_mask
