@@ -324,8 +324,7 @@ class BilinearFormContext:
         self.coef = coef
         self.stiffness = assemble_stiffness(mesh, coef)[1]
         self.constrained_fine = np.flatnonzero(mesh.constrained_fine_mask)
-        self.element_rhs = {}  # lod's element right-hand-side blocks, under mesh.patch_lock
-        self.stiffness_digests = {}  # lod's patch stiffness digests by (T, k), likewise
+        self.stiffness_digests = {}  # lod's patch stiffness digests by (T, k), under mesh.patch_lock
 
     def energy_norm(self, v):
         return energy_norm(self.stiffness, v)

@@ -36,12 +36,11 @@ def saturation_k(mesh):
 
 
 def _resolve_k(mesh, k):
-    if k is INFINITE_K or (isinstance(k, float) and np.isinf(k)):
+    if k is INFINITE_K or k == np.inf:
         return saturation_k(mesh)
-    k = int(k)
-    if k < 1:
-        raise ParameterError(f"patch size k must be >= 1, got {k}")
-    return min(k, saturation_k(mesh))
+    if not float(k).is_integer() or k < 1:
+        raise ParameterError(f"patch size k must be an integer >= 1, got {k}")
+    return min(int(k), saturation_k(mesh))
 
 
 def _patch_dofs(ctx, T, k):
@@ -65,20 +64,25 @@ def _patch_dofs(ctx, T, k):
         return mesh.patch_dofs[(T, k)]
 
 
-def _element_rhs(ctx, T):
-    """T's free fine nodes, the mask picking them from T's own nodes, and the rows
-    K_T @ P of them for T's three vertices, with K_T T's stiffness on its own
-    nodes: read-only, cached on the context per T."""
+def _element_blocks(ctx, elements, f_spec=None):
+    """Per coarse element T of ``elements``: T's free fine nodes, their rows of
+    K_T @ P for T's three vertices, with K_T T's stiffness on its own nodes, and
+    T's load on them (None without ``f_spec``), all from one stacked region with
+    T's fine children as a block, so stiffness and load share one numbering."""
     mesh = ctx.mesh
-    with mesh.patch_lock:
-        if T not in ctx.element_rhs:
-            nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
-            KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, mesh.coarse.elements[T]]
-            free = ~np.isin(nodes, ctx.constrained_fine, kind="table")
-            ctx.element_rhs[T] = nodes[free], free, KP[free]
-            for a in ctx.element_rhs[T]:
-                a.flags.writeable = False
-        return ctx.element_rhs[T]
+    n_fine = mesh.fine.num_nodes
+    regions = [mesh.fine_elements_of_coarse([T]) for T in elements]
+    keys, K = assemble_stiffness(mesh, ctx.coef, regions)
+    block, nodes = np.divmod(keys, n_fine)
+    corners = mesh.coarse.elements[np.asarray(elements)[block]]
+    KP = (K @ mesh.prolongation_matrix[nodes[:, None], corners]).toarray()
+    free = ~np.isin(nodes, ctx.constrained_fine, kind="table")
+    cuts = np.searchsorted(keys[free], np.arange(1, len(regions)) * n_fine)
+    nodes, KP = (np.split(a[free], cuts) for a in (nodes, KP))
+    loads = [None] * len(regions)
+    if f_spec is not None:
+        loads = np.split(assemble_load(mesh, f_spec, regions)[1][free], cuts)
+    return list(zip(nodes, KP, loads))
 
 
 def _gather(indptr, dofs):
@@ -146,20 +150,19 @@ def _saddle_system(ctx, op, dofs):
     return SaddleSystem(*(sparse.csr_matrix(M[:3], shape=M[3]) for M in (K, C)))
 
 
-def _element_solve(ctx, system, T, dofs, verts, load=None):
+def _element_solve(ctx, system, T, dofs, verts, nodes, KP, load=None):
     """Solve coarse element T's right-hand sides with its patch system.
 
-    The hats ``verts`` take their columns of T's element block and ``load`` (on
-    T's own nodes), when given, the last column, each in the rows of the patch
-    DOFs ``dofs`` holding T's free nodes (all of them, for k >= 1).
+    The hats ``verts`` take their columns of T's rows ``KP`` of K_T @ P and
+    ``load``, when given, the last column, each in the rows of the patch DOFs
+    ``dofs`` holding T's free nodes ``nodes`` (all of them, for k >= 1).
     """
-    nodes, free, KP = _element_rhs(ctx, T)
     rows = np.searchsorted(dofs, nodes)
     B = np.zeros((len(dofs), len(verts) + (load is not None)))
     cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
     B[rows, : len(verts)] = KP[:, cols]
     if load is not None:
-        B[rows, -1] = load[free]
+        B[rows, -1] = load
     return system.solve(B)[0]
 
 
@@ -178,8 +181,9 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
     dofs = _patch_dofs(ctx, T, _resolve_k(mesh, k))
     system = _saddle_system(ctx, op, dofs)
+    nodes, KP, _ = _element_blocks(ctx, [T])[0]
     out = np.zeros(mesh.fine.num_nodes)
-    out[dofs] = _element_solve(ctx, system, T, dofs, [int(i)])[:, 0]
+    out[dofs] = _element_solve(ctx, system, T, dofs, [int(i)], nodes, KP)[:, 0]
     return out
 
 
@@ -216,26 +220,21 @@ def compute_correctors(ctx, op, k, f_spec=None):
     k = _resolve_k(mesh, k)
     free = op.free_nodes
     row_of = {int(z): idx for idx, z in enumerate(free)}
-    n_fine, n_elements = mesh.fine.num_nodes, mesh.coarse.num_elements
-    if f_spec is not None:  # each element's load on its own nodes, from one stacked region
-        blocks = [mesh.fine_elements_of_coarse([T]) for T in range(n_elements)]
-        keys, loads = assemble_load(mesh, f_spec, blocks)
-        loads = np.split(loads, np.searchsorted(keys, np.arange(1, n_elements) * n_fine))
+    n_fine = mesh.fine.num_nodes
 
-    work = []  # (system key, T, dofs, free vertices, T's load on its own nodes or None)
-    for T in range(n_elements):
+    work = []  # (system key, T, dofs, free vertices, T's free nodes, K_T @ P rows, load or None)
+    for T, (nodes, KP, load) in enumerate(_element_blocks(ctx, range(mesh.coarse.num_elements), f_spec)):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
-        load = None if f_spec is None else loads[T]
         # a load on Dirichlet nodes only would give an all-zero right-hand side
-        if load is not None and not (load.any() and load[_element_rhs(ctx, T)[1]].any()):
+        if load is not None and not load.any():
             load = None
         if not verts and load is None:
             continue
         dofs = _patch_dofs(ctx, T, k)
-        work.append((_system_key(ctx, op, T, k, dofs), T, dofs, verts, load))
+        work.append((_system_key(ctx, op, T, k, dofs), T, dofs, verts, nodes, KP, load))
 
     # Q's entries go in element order, vertex by vertex, into one block
-    sizes = [len(verts) * len(dofs) for _, _, dofs, verts, _ in work]
+    sizes = [len(verts) * len(dofs) for _, _, dofs, verts, *_ in work]
     offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     q_rows = np.empty(offsets[-1], dtype=np.int32)
     q_cols = np.empty(offsets[-1], dtype=np.int32)
@@ -245,14 +244,14 @@ def compute_correctors(ctx, op, k, f_spec=None):
     system = key_of_system = None
     u_parts = {}  # work index -> solution of its load on its dofs
     for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
-        key, T, dofs, verts, load = work[idx]
+        key, T, dofs, verts, nodes, KP, load = work[idx]
         if key != key_of_system:
             system = None  # free the previous factorization before the next one
             system = _saddle_system(ctx, op, dofs)
             key_of_system = key
             factorizations += 1
             dropped_rows += len(system.dropped_rows)
-        U = _element_solve(ctx, system, T, dofs, verts, load)
+        U = _element_solve(ctx, system, T, dofs, verts, nodes, KP, load)
         a, b = offsets[idx], offsets[idx + 1]
         q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
         q_cols[a:b] = np.tile(dofs, len(verts))

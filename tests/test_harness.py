@@ -156,6 +156,13 @@ def test_run_experiment_writes_sorted_csv(tmp_path):
     assert all(r.wall_time_s == 0.0 for r in rows)
 
 
+def test_record_timings_fills_the_wall_time_column(tmp_path):
+    config = tiny_config(tmp_path, operators=("SZ",), record_timings=True)
+    rows = run_experiment(config)
+    assert rows and all(r.status == "ok" and r.wall_time_s > 0.0 for r in rows)
+    assert read_csv(config.csv) == rows
+
+
 def test_run_experiment_records_failures_without_dropping_rows(tmp_path, monkeypatch):
     # the IH build fails (a degenerate dual system): IH cells fail, the rest run;
     # IH and SZ read only is_one, so each is built once for both alphas

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import lod2d.lod as lod
-from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load
+from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load, assemble_stiffness
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
+from lod2d.errors import ParameterError
 from lod2d.interp import OPERATOR_KINDS, build_operator, coverage_report
 from lod2d.lod import (
     compute_correctors,
@@ -54,6 +55,17 @@ def patch_free_dofs(ctx, patch):
     free = (inside_count == total_count) & (inside_count > 0)
     free[ctx.constrained_fine] = False
     return np.flatnonzero(free), fine_els
+
+
+def element_rhs(ctx, T):
+    """T's free fine nodes, the mask picking them from T's own nodes, and the rows
+    K_T @ P of them for T's three vertices, with K_T T's stiffness on its own
+    nodes: the one-element-at-a-time reference for ``lod._element_blocks``."""
+    mesh = ctx.mesh
+    nodes, K_T = assemble_stiffness(mesh, ctx.coef, mesh.fine_elements_of_coarse([T]))
+    KP = (K_T @ mesh.prolongation_matrix[nodes]).toarray()[:, mesh.coarse.elements[T]]
+    free = ~np.isin(nodes, ctx.constrained_fine, kind="table")
+    return nodes[free], free, KP[free]
 
 
 POISSON_SQUARE_PEAK = 0.0736713512666705  # -lap u = 1, zero boundary, u(1/2,1/2)
@@ -127,8 +139,6 @@ def test_corrector_support_and_kernel_membership(small):
 
 def test_element_corrector_validation(small):
     mesh, coef, ctx, op = small
-    from lod2d.errors import ParameterError
-
     with pytest.raises(ParameterError):
         element_corrector(ctx, op, 0, mesh.coarse.num_elements + 5, k=1)
     with pytest.raises(ParameterError):
@@ -143,8 +153,8 @@ def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
     solved = []
     element_solve = lod._element_solve
 
-    def recording(ctx, system, T, dofs, verts, load=None):
-        U = element_solve(ctx, system, T, dofs, verts, load)
+    def recording(ctx, system, T, dofs, verts, nodes, KP, load=None):
+        U = element_solve(ctx, system, T, dofs, verts, nodes, KP, load)
         solved.append((T, len(verts), U.shape[1]))
         return U
 
@@ -289,8 +299,6 @@ def test_shared_caches_match_fresh_objects():
                 assert np.array_equal(getattr(got.matrix, attr), getattr(ref.matrix, attr))
             assert np.array_equal(u_f, u_ref)
     cached = list(shared.patch_dofs.values())
-    for ctx in contexts.values():
-        cached += [a for block in ctx.element_rhs.values() for a in block]
     cached += [getattr(op.matrix_csc, attr) for attr in ("data", "indices", "indptr")]
     assert cached and not any(a.flags.writeable for a in cached)
 
@@ -320,7 +328,7 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
     mesh = build_hierarchy(2, 5, BoundarySpec.all_edges())
     ctx = BilinearFormContext(mesh, gen_random_balls(mesh, 0.05, 4))
     ops = [build_operator(kind, mesh, ctx.coef) for kind in ("IH", "SZ")]
-    calls = {"element_patch": [], "assemble_stiffness": [], "_stiffness_cut": [], "_constraint_cut": []}
+    calls = {"element_patch": [], "_stiffness_cut": [], "_constraint_cut": []}
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(lod, name), **kwargs):
             calls[_name].append(1)  # list.append is atomic
@@ -333,7 +341,7 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
         for T, k in itertools.product(elements, ks):
             dofs = lod._patch_dofs(ctx, T, k)
             keys = [half for op in ops for half in lod._system_key(ctx, op, T, k, dofs)]
-            out.append((dofs, lod._element_rhs(ctx, T), *keys))
+            out.append((dofs, *keys))
         return out
 
     interval = sys.getswitchinterval()
@@ -346,7 +354,6 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(calls["element_patch"]) == len(elements) * len(ks)
-    assert len(calls["assemble_stiffness"]) == len(elements)
     assert len(calls["_stiffness_cut"]) == len(elements) * len(ks)
     assert len(calls["_constraint_cut"]) == len(ops) * len(elements) * len(ks)
     for result in results[1:]:
@@ -390,6 +397,55 @@ def test_load_on_dirichlet_nodes_only_is_not_solved():
     correctors, u_f = compute_correctors(ctx, build_operator("SZ", mesh, coef), 1, LoadSpec.hat(0.0, 0.0))
     assert correctors.element_solves == correctors.factorizations == 30
     assert not u_f.any()
+
+
+@pytest.mark.parametrize("dirichlet", [("left", "right", "bottom", "top"), ("left", "bottom")])
+def test_element_blocks_match_element_by_element_assembly(dirichlet):
+    """Every entry of the stacked element table equals the one-element
+    assembly of its stiffness rows and of its load on T's free nodes, for
+    every load kind, with all and with partial Dirichlet edges."""
+    mesh = build_hierarchy(2, 5, BoundarySpec.edges(*dirichlet))
+    ctx = BilinearFormContext(mesh, gen_random_balls(mesh, 0.05, 4))
+    elements = range(mesh.coarse.num_elements)
+    loads = [None, LoadSpec.constant(2.0), LoadSpec.rectangle(0.25, 0.5, 0.25, 0.75),
+             LoadSpec.hat(0.5, 0.25), LoadSpec.hat(0.0, 0.0)]
+    for f in loads:
+        blocks = lod._element_blocks(ctx, elements, f)
+        assert len(blocks) == len(elements)
+        for T, (nodes, KP, load) in zip(elements, blocks):
+            ref_nodes, free, ref_KP = element_rhs(ctx, T)
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(KP, ref_KP)
+            if f is None:
+                assert load is None
+            else:
+                ref_load = assemble_load(mesh, f, mesh.fine_elements_of_coarse([T]))[1][free]
+                assert np.array_equal(load, ref_load)
+            alone = lod._element_blocks(ctx, [T], f)[0]
+            assert all(x is y is None or np.array_equal(x, y) for x, y in zip(alone, (nodes, KP, load)))
+    # the corner hat loads element 0, but only on the Dirichlet nodes of its two edges
+    hat = LoadSpec.hat(0.0, 0.0)
+    assert assemble_load(mesh, hat, mesh.fine_elements_of_coarse([0]))[1].any()
+    assert not lod._element_blocks(ctx, [0], hat)[0][2].any()
+    op = build_operator("IH", mesh, ctx.coef)
+    correctors, u_f = compute_correctors(ctx, op, 1, hat)
+    assert correctors.element_solves == compute_correctors(ctx, op, 1)[0].element_solves
+    assert not u_f.any()
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(1.9), float("nan"), np.float64("nan"), 0, -1, -np.inf])
+def test_patch_size_must_be_a_positive_integer(small, k):
+    mesh, coef, ctx, op = small
+    with pytest.raises(ParameterError, match="patch size k"):
+        compute_correctors(ctx, op, k)
+
+
+@pytest.mark.parametrize("k", [2.0, np.int64(2), np.float64(2.0)])
+def test_integral_patch_size_of_any_type_is_accepted(small, k):
+    mesh, coef, ctx, op = small
+    got, ref = compute_correctors(ctx, op, k)[0], compute_correctors(ctx, op, 2)[0]
+    assert got.k == ref.k == 2
+    assert all(np.array_equal(getattr(got.matrix, a), getattr(ref.matrix, a)) for a in ("data", "indices", "indptr"))
+    assert compute_correctors(ctx, op, np.inf)[0].k == saturation_k(mesh)
 
 
 def test_dropped_rows_counted(small, monkeypatch):
