@@ -254,13 +254,13 @@ def independent_constraint_rows(C):
 
 
 class SaddleSystem:
-    """Factorized KKT system K u + C^T lam = b, C u = 0, solved for many b.
+    """KKT system K u + C^T lam = b, C u = 0, factorized once and solved for many b.
 
     Zero rows of C are pruned and a maximal independent subset of the
     rest is kept (``dropped_rows`` names the others); redundant rows
     leave the constrained minimizer unchanged.  The kept rows are
     equilibrated to unit norm and the symmetric indefinite KKT block
-    matrix is factorized once with a sparse LU.
+    matrix is built; ``factorize`` then factorizes it with a sparse LU.
     """
 
     def __init__(self, K, C):
@@ -283,10 +283,24 @@ class SaddleSystem:
             self.C, self.norms = self.C[kept], self.norms[kept]
         self.m = len(self.rows)
         self.Ct = self.C.T
+        self.kkt = _kkt_matrix(self.K, self.C)
+        self.lu = None
+
+    def factorize(self):
+        """Factorize the KKT matrix; returns self.
+
+        scipy frees an LU's memory only on the thread that built it, so
+        the thread that calls this must also ``release`` it.
+        """
         try:
-            self.lu = spla.splu(_kkt_matrix(self.K, self.C))
+            self.lu = spla.splu(self.kkt)
         except RuntimeError as exc:
             raise SolverError(f"KKT factorization failed: {exc}") from exc
+        return self
+
+    def release(self):
+        """Drop the LU; call it on the thread that factorized."""
+        self.lu = None
 
     def solve(self, B):
         """Solutions U and multipliers for a block B of right-hand sides (n, nrhs).

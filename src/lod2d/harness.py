@@ -35,7 +35,7 @@ from . import coefficient as coefmod
 from .assembly import BilinearFormContext, LoadSpec
 from .errors import ParameterError, SolverError
 from .interp import ALPHA_FREE_KINDS, OPERATOR_KINDS, build_operator
-from .lod import relative_energy_error, reference_solution, solve_multiscale
+from .lod import _worker_count, relative_energy_error, reference_solution, solve_multiscale
 from .mesh import BoundarySpec, EDGE_NAMES, build_hierarchy, delta_steps, level_ratio
 
 CSV_HEADER = "operator,alpha,k,H,h,rel_energy_error,wall_time_s,seed,status"
@@ -290,18 +290,6 @@ def _cached_reference(config, ctx, alpha):
         np.save(fh, u)
     os.replace(fh.name, path)
     return u
-
-
-def _worker_count():
-    """Sweep workers from LOD_THREADS; unset or 0 means min(4, cpu count)."""
-    raw = os.environ.get("LOD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ParameterError(f"LOD_THREADS must be a non-negative integer, got {raw!r}")
-    return n or min(4, os.cpu_count() or 1)
 
 
 def _prepare_outputs(config: ExperimentConfig):

@@ -12,6 +12,10 @@ solution exactly (up to solver tolerance).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
+import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,45 @@ from .interp import InterpOperator
 from .mesh import ElementSet, element_patch
 
 INFINITE_K = None  # alias accepted anywhere a patch size is expected
+
+
+def _worker_count():
+    """Workers from LOD_THREADS, for the sweep's cells and for the factorization
+    helpers; unset or 0 means min(4, cpu count)."""
+    raw = os.environ.get("LOD_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ParameterError(f"LOD_THREADS must be a non-negative integer, got {raw!r}")
+    return n or min(4, os.cpu_count() or 1)
+
+
+_HELPERS = {}  # helper count -> the process-wide pool of that many factorization helpers
+_HELPERS_LOCK = threading.Lock()
+
+
+def _forget_helpers():
+    """A forked child has none of its parent's threads, so a pool inherited
+    from the parent would never run what it is given: start with none."""
+    global _HELPERS_LOCK
+    _HELPERS.clear()
+    _HELPERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helper_pool(workers):
+    """The process-wide pool of ``workers`` factorization helpers, made on first use
+    and shared by every ``compute_correctors`` call, so concurrent sweep cells add
+    no threads of their own."""
+    with _HELPERS_LOCK:
+        if workers not in _HELPERS:
+            _HELPERS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="lod-helper")
+        return _HELPERS[workers]
 
 
 def saturation_k(mesh):
@@ -180,7 +223,7 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
     dofs = _patch_dofs(ctx, T, _resolve_k(mesh, k))
-    system = _saddle_system(ctx, op, dofs)
+    system = _saddle_system(ctx, op, dofs).factorize()
     nodes, KP, _ = _element_blocks(ctx, [T])[0]
     out = np.zeros(mesh.fine.num_nodes)
     out[dofs] = _element_solve(ctx, system, T, dofs, [int(i)], nodes, KP)[:, 0]
@@ -210,12 +253,19 @@ def compute_correctors(ctx, op, k, f_spec=None):
     Pass 1 visits the coarse elements with work (a free vertex, or an
     element load nonzero on a free node) and keys each by the pair of
     digests of its patch system's stiffness and constraint halves
-    (``_system_key``).  Pass 2 visits them sorted by (key, element),
-    factorizes one system per run of equal keys and solves each
-    element's right-hand sides with it.  The solutions are summed
-    in ascending element order, as a one-by-one traversal sums them, so
-    the results do not depend on the grouping.
+    (``_system_key``).  Pass 2 visits them sorted by (key, element) and
+    prepares one ``SaddleSystem`` per run of equal keys on the calling
+    thread, which thus does every cut and every cache access.  A helper
+    of the ``LOD_THREADS`` helper pool factorizes it, solves each
+    element's right-hand sides with it, writes their slots of Q and
+    drops the LU; at most about one prepared system waits per helper,
+    and one worker runs the same step inline.  The solutions are
+    summed in ascending element order, as a one-by-one traversal sums
+    them, so the results depend neither on the grouping nor on the
+    helpers.  A helper's error is raised here, after the queued runs
+    are cancelled and the running ones have ended.
     """
+    workers = _worker_count()
     mesh = ctx.mesh
     k = _resolve_k(mesh, k)
     free = op.free_nodes
@@ -239,32 +289,62 @@ def compute_correctors(ctx, op, k, f_spec=None):
     q_rows = np.empty(offsets[-1], dtype=np.int32)
     q_cols = np.empty(offsets[-1], dtype=np.int32)
     q_vals = np.empty(offsets[-1])
-
-    factorizations = dropped_rows = 0
-    system = key_of_system = None
     u_parts = {}  # work index -> solution of its load on its dofs
-    for idx in sorted(range(len(work)), key=lambda i: work[i][:2]):
-        key, T, dofs, verts, nodes, KP, load = work[idx]
-        if key != key_of_system:
-            system = None  # free the previous factorization before the next one
-            system = _saddle_system(ctx, op, dofs)
-            key_of_system = key
-            factorizations += 1
+
+    def run(system, group):
+        """Factorize ``system``, solve the elements ``group`` (work indices) with it
+        into their own slots, and drop the LU, all on this thread."""
+        try:
+            system.factorize()
+            for idx in group:
+                _, T, dofs, verts, nodes, KP, load = work[idx]
+                U = _element_solve(ctx, system, T, dofs, verts, nodes, KP, load)
+                a, b = offsets[idx], offsets[idx + 1]
+                q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
+                q_cols[a:b] = np.tile(dofs, len(verts))
+                q_vals[a:b] = U[:, : len(verts)].T.ravel()
+                if load is not None:
+                    u_parts[idx] = U[:, -1].copy()  # a view would keep all of U alive
+        finally:
+            system.release()  # scipy frees an LU only on the thread that built it
+
+    order = sorted(range(len(work)), key=lambda i: work[i][:2])
+    groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: work[i][0])]
+    pool = _helper_pool(workers) if workers > 1 else None
+    pending = set()
+    dropped_rows = 0
+    try:
+        for group in groups:
+            system = _saddle_system(ctx, op, work[group[0]][2])
             dropped_rows += len(system.dropped_rows)
-        U = _element_solve(ctx, system, T, dofs, verts, nodes, KP, load)
-        a, b = offsets[idx], offsets[idx + 1]
-        q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
-        q_cols[a:b] = np.tile(dofs, len(verts))
-        q_vals[a:b] = U[:, : len(verts)].T.ravel()
-        if load is not None:
-            u_parts[idx] = U[:, -1].copy()  # a view would keep all of U alive
-    system = None  # free the last factorization before Q is assembled
+            if pool is None:
+                run(system, group)
+                continue
+            while len(pending) >= 2 * workers:
+                pending = _first_finished(pending)
+            pending.add(pool.submit(run, system, group))
+        while pending:
+            pending = _first_finished(pending)
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        wait(pending)  # the running ones drop their own LUs
+        raise
 
     Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
     u_f = np.zeros(n_fine)
     for idx in sorted(u_parts):
         u_f[work[idx][2]] += u_parts[idx]
-    return CorrectorSet(k, op.kind, free, Q, factorizations, len(work), dropped_rows), u_f
+    return CorrectorSet(k, op.kind, free, Q, len(groups), len(work), dropped_rows), u_f
+
+
+def _first_finished(pending):
+    """Wait until a run of ``pending`` ends, raise its error if it failed, and
+    return the runs still pending."""
+    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+    for future in done:
+        future.result()
+    return pending
 
 
 @dataclass

@@ -38,7 +38,7 @@ def solve_saddle(K, C, b):
     zero.  Linearly dependent rows raise ConstraintDegeneracyError
     naming the rows a maximal independent subset leaves out.
     """
-    system = SaddleSystem(K, C)
+    system = SaddleSystem(K, C).factorize()
     if len(system.dropped_rows):
         dropped = [int(r) for r in system.dropped_rows]
         raise ConstraintDegeneracyError(

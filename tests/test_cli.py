@@ -204,6 +204,7 @@ def test_python_dash_m_entry_points(tmp_path):
         "bad-delta-two-stripes",
         "bad-delta-third-field",
         "bad-delta-two-field",
+        "bad-lod-threads",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
@@ -272,6 +273,9 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         assert cli(["kappa", str(cfg), str(tmp_path / "k.csv")]) == 1
         assert cli(["decay", str(cfg), str(tmp_path / "d.csv")]) == 1
         argv = ["run", str(cfg)]
+    elif case == "bad-lod-threads":
+        monkeypatch.setenv("LOD_THREADS", "abc")
+        argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}/d.csv\n"))]
     elif case == "output-under-a-file":
         (tmp_path / "file").write_text("")
         argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]

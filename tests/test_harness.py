@@ -325,6 +325,25 @@ def test_lod_threads_zero_means_auto(monkeypatch):
     assert _worker_count() == 3
 
 
+def test_helper_failure_fails_only_its_cell(tmp_path, monkeypatch):
+    """With two factorization helpers, a KKT factorization that fails on a
+    helper turns its sweep cell into a failed row; every other cell runs and
+    matches a clean run."""
+    from test_lod import failing_splu
+
+    monkeypatch.setenv("LOD_THREADS", "2")
+    config = tiny_config(tmp_path)
+    clean = run_experiment(config)  # fills the reference cache, so only cells factorize
+    assert all(r.status == "ok" for r in clean)
+    calls = failing_splu(monkeypatch, 3)
+    rows = run_experiment(config)
+    assert len(calls) > 3
+    failed = [(r.operator, r.alpha, r.k) for r in rows if r.status == "failed"]
+    assert len(failed) == 1
+    assert [r for r in rows if r.status == "ok"] == [
+        r for r in clean if (r.operator, r.alpha, r.k) not in failed]
+
+
 CORRUPTIONS = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[:100]),
     "nan": lambda path: np.save(path, np.full_like(np.load(path), np.nan)),

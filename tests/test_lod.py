@@ -1,16 +1,21 @@
 import dataclasses
 import itertools
+import multiprocessing
 import os
+import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lod2d.assembly as assembly
 import lod2d.lod as lod
 from lod2d.assembly import BilinearFormContext, LoadSpec, SaddleSystem, assemble_load, assemble_stiffness
 from lod2d.coefficient import Coefficient, gen_random_balls, gen_random_field, gen_stripes
-from lod2d.errors import ParameterError
+from lod2d.errors import ParameterError, SolverError
 from lod2d.interp import OPERATOR_KINDS, build_operator, coverage_report
 from lod2d.lod import (
     compute_correctors,
@@ -470,6 +475,158 @@ def test_dropped_rows_counted(small, monkeypatch):
     sol = solve_multiscale(ctx, redundant, 1, LoadSpec.constant(1.0))
     assert sol.metadata["dropped_rows"] == sum(len(s.dropped_rows) for s in systems) > 0
     assert solve_multiscale(ctx, op, 1, LoadSpec.constant(1.0)).metadata["dropped_rows"] == 0
+
+
+def corrector_arrays(correctors, u_f):
+    """Q's arrays, u_f and the three counters of one compute_correctors call."""
+    counters = [correctors.factorizations, correctors.element_solves, correctors.dropped_rows]
+    return [correctors.matrix.data, correctors.matrix.indices, correctors.matrix.indptr, u_f,
+            np.array(counters)]
+
+
+def assert_arrays_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def failing_splu(monkeypatch, nth):
+    """Make scipy's splu, as lod2d.assembly calls it, raise on its nth call from
+    any thread; returns the list of calls made."""
+    splu, calls, lock = assembly.spla.splu, [], threading.Lock()
+
+    def fake(*args, **kwargs):
+        with lock:
+            calls.append(1)
+            n = len(calls)
+        if n == nth:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(assembly.spla, "splu", fake)
+    return calls
+
+
+@pytest.mark.parametrize("dirichlet", [("left", "right", "bottom", "top"), ("left", "bottom")])
+@pytest.mark.parametrize("coefficient", ["stripes", "balls", "field"])
+def test_results_do_not_depend_on_helper_count(monkeypatch, coefficient, dirichlet):
+    """Q, u_f and the counters are bit for bit the same with 1, 2 and 3
+    factorization helpers: every element writes its own slots of Q, and u_f
+    is summed in element order, whatever order the helpers finish in."""
+    levels = (3, 6) if coefficient == "stripes" else (2, 5)  # stripes need h <= 1/64
+    mesh = build_hierarchy(*levels, BoundarySpec.edges(*dirichlet))
+    coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
+            "balls": lambda: gen_random_balls(mesh, 1e-3, 2),
+            "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
+    ctx = BilinearFormContext(mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    for kind in ("IH", "SZ", "AprojQM"):
+        op = build_operator(kind, mesh, coef)
+        for k in (1, 2, None):
+            results = []
+            for helpers in ("1", "2", "3"):
+                monkeypatch.setenv("LOD_THREADS", helpers)
+                results.append(corrector_arrays(*compute_correctors(ctx, op, k, f_spec=f)))
+            assert results[0][3].any()
+            for got in results[1:]:
+                assert_arrays_equal(got, results[0])
+
+
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    """A SolverError on a factorization helper, from a failed KKT factorization
+    or from a residual miss, is raised by compute_correctors in the calling
+    thread.  The queued runs are cancelled, every LU is dropped on the thread
+    that built it before the call returns, and a clean call on the same context
+    and operator then gives the one-worker results array for array."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = gen_random_field(mesh, 1e-3, 1)
+    ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    monkeypatch.setenv("LOD_THREADS", "1")
+    ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
+    assert ref[4][0] > 100  # factorizations, far more than two helpers keep queued
+
+    events = []  # (method, system, thread), appended before the method runs
+    for name in ("factorize", "release"):
+        def spy(self, _method=getattr(SaddleSystem, name), _name=name):
+            events.append((_name, self, threading.get_ident()))
+            return _method(self)
+        monkeypatch.setattr(SaddleSystem, name, spy)
+
+    def lu_threads(name):
+        return {id(system): thread for method, system, thread in events if method == name}
+
+    monkeypatch.setenv("LOD_THREADS", "2")
+    calls = failing_splu(monkeypatch, 3)
+    with pytest.raises(SolverError, match="KKT factorization failed"):
+        compute_correctors(ctx, op, 1, f_spec=f)
+    assert 3 <= len(calls) < 3 + 4 * 2
+    assert lu_threads("factorize") == lu_threads("release")
+    assert threading.get_ident() not in lu_threads("factorize").values()
+
+    events.clear()
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "SADDLE_RTOL", 0.0)
+        with pytest.raises(SolverError, match="saddle solve residuals"):
+            compute_correctors(ctx, op, 1, f_spec=f)
+    assert lu_threads("factorize") == lu_threads("release")
+    assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
+
+
+LEAK_SCRIPT = """
+import resource
+import lod2d
+from lod2d.lod import compute_correctors
+mesh = lod2d.build_hierarchy(3, 6, lod2d.BoundarySpec.all_edges())
+coef = lod2d.gen_random_field(mesh, 1e-3, 1)
+ctx = lod2d.BilinearFormContext(mesh, coef)
+op = lod2d.build_operator("IH", mesh, coef)
+for _ in range(4):
+    compute_correctors(ctx, op, 1, lod2d.LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_repeated_corrector_passes_hold_no_lu():
+    """Four corrector passes with two helpers in a fresh interpreter: after the
+    first, peak RSS grows by a few MB at most.  scipy frees an LU's memory only
+    on the thread that built it, so an LU dropped on another thread would stay,
+    one per system per pass (about 35 MB per pass here)."""
+    src = str(Path(lod.__file__).resolve().parents[1])
+    env = dict(os.environ, LOD_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", LEAK_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    peaks_kb = [int(line) for line in out.split()]
+    assert len(peaks_kb) == 4
+    assert peaks_kb[-1] - peaks_kb[0] <= 8 * 1024, peaks_kb
+
+
+_FORKED = {}  # what a forked child reads from its copy of the parent's memory
+
+
+def _factorizations_in_child(k):
+    return compute_correctors(*_FORKED["ctx_op"], k)[0].factorizations
+
+
+def test_forked_child_starts_its_own_helpers(small, monkeypatch):
+    """A child forked after the parent's helpers started has none of their
+    threads; it makes its own pool instead of waiting on threads that are gone."""
+    mesh, coef, ctx, op = small
+    monkeypatch.setenv("LOD_THREADS", "2")
+    expected = compute_correctors(ctx, op, 1)[0].factorizations
+    monkeypatch.setitem(_FORKED, "ctx_op", (ctx, op))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_factorizations_in_child, (1,)).get(timeout=60) == expected
+
+
+def test_bad_lod_threads_fails_before_any_factorization(small, monkeypatch):
+    mesh, coef, ctx, op = small
+    calls = failing_splu(monkeypatch, 0)
+    monkeypatch.setenv("LOD_THREADS", "abc")
+    with pytest.raises(ParameterError, match="LOD_THREADS"):
+        solve_multiscale(ctx, op, 1, LoadSpec.constant(1.0))
+    assert calls == []
 
 
 def test_uncovered_stripes_cause_criterion_6():
