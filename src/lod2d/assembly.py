@@ -302,27 +302,36 @@ class SaddleSystem:
         """Drop the LU; call it on the thread that factorized."""
         self.lu = None
 
-    def solve(self, B):
+    def solve(self, B, labels=None):
         """Solutions U and multipliers for a block B of right-hand sides (n, nrhs).
 
         Each column must meet K u + C^T lam = b and C u = 0 to within
-        SADDLE_RTOL * (||b|| + 1).  Multipliers come back for every row
-        of C in its original scaling, zero for pruned and dropped rows.
+        SADDLE_RTOL * (||b|| + 1); the error for a miss gives the first
+        failing column's residuals, named by ``labels[j]`` when given.
+        Multipliers come back for every row of C in its original scaling,
+        zero for pruned and dropped rows.
         """
-        rhs = np.vstack([B, np.zeros((self.m, B.shape[1]))])
-        # SuperLU solves a block of four or more columns through BLAS-3
-        # kernels that round differently from its one-column path; going
-        # column by column keeps every result equal to a single solve's.
-        sol = np.column_stack([self.lu.solve(col) for col in rhs.T])
+        sol = np.vstack([B, np.zeros((self.m, B.shape[1]))])
+        # SuperLU rounds a block of four or more columns differently from
+        # its one-column path.  A block of at most three gives every column
+        # the bits of a one-column solve, at one call per block: a measured
+        # property of the SuperLU and OpenBLAS builds in use, which
+        # test_block_solves_equal_column_solves guards.
+        for j in range(0, sol.shape[1], 3):
+            sol[:, j : j + 3] = self.lu.solve(sol[:, j : j + 3])  # solve copies its input
         U, lam = sol[: self.n], sol[self.n :]
-        r1 = np.linalg.norm(self.K @ U + self.Ct @ lam - B, axis=0)
+        R = self.K @ U  # in place: each temporary is as large as the whole block
+        R += self.Ct @ lam
+        R -= B
+        r1 = np.linalg.norm(R, axis=0)
         r2 = np.linalg.norm(self.C @ U, axis=0)
         scale = np.linalg.norm(B, axis=0) + 1.0
         bad = np.flatnonzero(np.maximum(r1, r2) > SADDLE_RTOL * scale)
         if len(bad):
             j = bad[0]
+            where = f"{labels[j]}: " if labels else ""
             raise SolverError(
-                f"saddle solve residuals ({r1[j]:.3e}, {r2[j]:.3e}) exceed "
+                f"{where}saddle solve residuals ({r1[j]:.3e}, {r2[j]:.3e}) exceed "
                 f"{SADDLE_RTOL:.1e} * (||b|| + 1) = {SADDLE_RTOL * scale[j]:.3e}"
             )
         lam_full = np.zeros((self.num_rows, B.shape[1]))

@@ -150,20 +150,38 @@ def test_element_corrector_validation(small):
         element_corrector(ctx, op, int(op.free_nodes[0]), 0, k=0)
 
 
+class CountingLU:
+    """A SuperLU factorization that appends the column count of every solve
+    call to ``columns``."""
+
+    def __init__(self, lu, columns):
+        self.lu, self.columns = lu, columns
+
+    def solve(self, rhs):
+        self.columns.append(rhs.shape[1] if rhs.ndim == 2 else 1)
+        return self.lu.solve(rhs)
+
+
 def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
     """With a small rect load, an element with free vertices but no load solves
     one column per free vertex, one with load gets one more, and an element
-    with neither is never solved; element_solves counts the solved ones."""
+    with neither is never solved; element_solves counts the solved ones.  The
+    elements of a system go in blocks of at most lod._CHUNK, and a block of g
+    columns costs ceil(g / 3) SuperLU calls of at most three columns each."""
     mesh, coef, ctx, op = small
-    solved = []
-    element_solve = lod._element_solve
+    monkeypatch.setenv("LOD_THREADS", "1")  # the spies count the calls of one thread
+    solved, blocks, lu_columns = [], [], []
+    splu, block_solve = assembly.spla.splu, lod._block_solve
 
-    def recording(ctx, system, T, dofs, verts, nodes, KP, load=None):
-        U = element_solve(ctx, system, T, dofs, verts, nodes, KP, load)
-        solved.append((T, len(verts), U.shape[1]))
-        return U
+    def recording(ctx, system, items):
+        before = len(lu_columns)
+        Us = block_solve(ctx, system, items)
+        blocks.append((len(items), sum(U.shape[1] for U in Us), lu_columns[before:]))
+        solved.extend((item[1], len(item[3]), U.shape[1]) for item, U in zip(items, Us))
+        return Us
 
-    monkeypatch.setattr(lod, "_element_solve", recording)
+    monkeypatch.setattr(assembly.spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw), lu_columns))
+    monkeypatch.setattr(lod, "_block_solve", recording)
     f = LoadSpec.rectangle(0.25, 0.5, 0.25, 0.5)
     correctors, u_f = compute_correctors(ctx, op, 2, f)
     elements = set(range(mesh.coarse.num_elements))
@@ -176,11 +194,51 @@ def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
         assert n_cols == n_verts + (T in loaded)
     assert correctors.element_solves == len(solved)
     assert np.abs(u_f).max() > 0.0
+    assert max(n for n, _, _ in blocks) > 1
+    for n_elements, g, calls in blocks:
+        assert 1 <= n_elements <= lod._CHUNK
+        assert len(calls) == -(-g // 3) and max(calls) <= 3 and sum(calls) == g
     solved.clear()
     correctors, u_f = compute_correctors(ctx, op, 2)
     assert sorted(T for T, _, _ in solved) == sorted(has_verts)
     assert all(n_cols == n_verts for _, n_verts, n_cols in solved)
     assert correctors.element_solves == len(has_verts) and not u_f.any()
+
+
+@pytest.mark.parametrize("coefficient", ["stripes", "balls", "field"])
+def test_block_solves_equal_column_solves(monkeypatch, coefficient):
+    """On real patch systems and right-hand sides (IH, SZ and AprojQM at k = 1-3,
+    with a load), every SaddleSystem.solve of a multi-column block gives U and
+    the multipliers bit for bit as its columns solved one by one as 1-D
+    right-hand sides.  SuperLU's blocks of at most three columns do so with the
+    SuperLU and BLAS builds in use, not by any promise of theirs; a build that
+    breaks it must fail here, since the corrector pass's results rest on it."""
+    levels = (3, 6) if coefficient == "stripes" else (2, 5)
+    mesh = build_hierarchy(*levels, BoundarySpec.all_edges())
+    coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
+            "balls": lambda: gen_random_balls(mesh, 1e-3, 2),
+            "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
+    ctx = BilinearFormContext(mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    monkeypatch.setenv("LOD_THREADS", "1")
+    widths, solve = [], SaddleSystem.solve
+
+    def checked(self, B, labels=None):
+        U, lam = solve(self, B, labels)
+        rhs = np.vstack([B, np.zeros((self.m, B.shape[1]))])
+        columns = np.column_stack([self.lu.solve(col) for col in rhs.T])
+        lam_ref = np.zeros_like(lam)
+        lam_ref[self.rows] = columns[self.n :] / self.norms[:, None]
+        assert np.array_equal(U, columns[: self.n]) and np.array_equal(lam, lam_ref)
+        widths.append(B.shape[1])
+        return U, lam
+
+    monkeypatch.setattr(SaddleSystem, "solve", checked)
+    for kind in ("IH", "SZ", "AprojQM"):
+        op = build_operator(kind, mesh, coef)
+        for k in (1, 2, 3):
+            compute_correctors(ctx, op, k, f_spec=f)
+    assert max(widths) > 3 * 3  # blocks of several elements, each in several calls
 
 
 @pytest.fixture(scope="module")
@@ -537,7 +595,9 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     or from a residual miss, is raised by compute_correctors in the calling
     thread.  The queued runs are cancelled, every LU is dropped on the thread
     that built it before the call returns, and a clean call on the same context
-    and operator then gives the one-worker results array for array."""
+    and operator then gives the one-worker results array for array.  A residual
+    miss in one column of a block of several elements names that column's
+    element and hat in the error, with that column's residuals."""
     mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
     coef = gen_random_field(mesh, 1e-3, 1)
     ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
@@ -570,6 +630,51 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
         with pytest.raises(SolverError, match="saddle solve residuals"):
             compute_correctors(ctx, op, 1, f_spec=f)
     assert lu_threads("factorize") == lu_threads("release")
+    assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
+
+    # a residual miss in one column inside a block of several elements, on the
+    # stripes, whose patch systems repeat: its own residuals are reported
+    coef = gen_stripes(mesh, 1e-3)
+    ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
+    ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
+    splu, block_solve = assembly.spla.splu, lod._block_solve
+    target, lock, local = [], threading.Lock(), threading.local()
+
+    class SkewedLU:
+        """Adds a vector to the solution of the block's column ``local.column``."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            j = getattr(local, "column", -1) - local.offset
+            if 0 <= j < x.shape[1]:
+                x[:, j] += 1.0 + np.arange(x.shape[0])
+            local.offset += x.shape[1]
+            return x
+
+    def skewing(ctx, system, items):
+        local.offset = 0
+        with lock:
+            if len(items) > 1 and not target:  # the second element's first column
+                _, T, _, verts, *_ = items[1]
+                target.append(f"coarse element {T}, " + (f"hat {verts[0]}" if verts else "load"))
+                local.column = len(items[0][3]) + (items[0][6] is not None)
+        try:
+            return block_solve(ctx, system, items)
+        finally:
+            local.column = -1
+
+    monkeypatch.setattr(assembly.spla, "splu", lambda *a, **kw: SkewedLU(splu(*a, **kw)))
+    monkeypatch.setattr(lod, "_block_solve", skewing)
+    events.clear()
+    with pytest.raises(SolverError, match="saddle solve residuals") as info:
+        compute_correctors(ctx, op, 1, f_spec=f)
+    assert str(info.value).startswith(f"{target[0]}: ")
+    assert lu_threads("factorize") == lu_threads("release")
+    assert threading.get_ident() not in lu_threads("factorize").values()
+    monkeypatch.undo()
     assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
 
 
