@@ -269,7 +269,8 @@ def _reference_cache_key(config: ExperimentConfig, alpha):
 
 def _cached_reference(config, ctx, alpha):
     """Reference solution from the cache, rebuilt when missing or unreadable, or
-    when the entry is not a finite float64 array of the fine mesh's size.
+    when the entry is not a .npy file of a finite float64 array of the fine
+    mesh's size (an .npz archive or a pickle is rebuilt too).
 
     Entries are written to a temporary file and renamed into place, so
     a reader never sees a partly written one.
@@ -280,7 +281,8 @@ def _cached_reference(config, ctx, alpha):
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"ref_{_reference_cache_key(config, alpha)}.npy"
     try:
-        u = np.load(path)
+        with open(path, "rb") as fh:
+            u = np.lib.format.read_array(fh)
         if u.dtype == np.float64 and u.shape == (ctx.mesh.fine.num_nodes,) and np.isfinite(u).all():
             return u
     except (OSError, ValueError, EOFError):

@@ -11,11 +11,12 @@ solution exactly (up to solver tolerance).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ _CHUNK = 8
 
 def _worker_count():
     """Workers from LOD_THREADS, for the sweep's cells and for the factorization
-    helpers; unset or 0 means min(4, cpu count)."""
+    helpers, at most the usable CPU count; unset or 0 means min(4, that count)."""
     raw = os.environ.get("LOD_THREADS", "0")
     try:
         n = int(raw)
@@ -47,33 +48,20 @@ def _worker_count():
         n = -1
     if n < 0:
         raise ParameterError(f"LOD_THREADS must be a non-negative integer, got {raw!r}")
-    return n or min(4, os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(n or 4, usable)
 
 
-_HELPERS = {}  # helper count -> the process-wide pool of that many factorization helpers
-_HELPERS_LOCK = threading.Lock()
-
-
-def _forget_helpers():
-    """A forked child has none of its parent's threads, so a pool inherited
-    from the parent would never run what it is given: start with none."""
-    global _HELPERS_LOCK
-    _HELPERS.clear()
-    _HELPERS_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
+@functools.cache
 def _helper_pool(workers):
     """The process-wide pool of ``workers`` factorization helpers, made on first use
     and shared by every ``compute_correctors`` call, so concurrent sweep cells add
     no threads of their own."""
-    with _HELPERS_LOCK:
-        if workers not in _HELPERS:
-            _HELPERS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="lod-helper")
-        return _HELPERS[workers]
+    return ThreadPoolExecutor(workers, thread_name_prefix="lod-helper")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 def saturation_k(mesh):
@@ -261,18 +249,16 @@ def compute_correctors(ctx, op, k, f_spec=None):
     Pass 1 visits the coarse elements with work (a free vertex, or an
     element load nonzero on a free node) and keys each by the pair of
     digests of its patch system's stiffness and constraint halves
-    (``_system_key``).  Pass 2 visits them sorted by (key, element) and
-    prepares one ``SaddleSystem`` per run of equal keys on the calling
-    thread, which thus does every cut and every cache access.  A helper
-    of the ``LOD_THREADS`` helper pool factorizes it, solves its
-    elements' right-hand sides with it in blocks of ``_CHUNK`` elements
-    (``_block_solve``), writes their slots of Q and drops the LU; at most
-    about one prepared system waits per helper, and one worker runs the
-    same step inline.  The solutions are summed in ascending element
-    order, as a one-by-one traversal sums them, so the results depend
-    neither on the grouping nor on the helpers.  A helper's error is
-    raised here, after the queued runs are cancelled and the running
-    ones have ended.
+    (``_system_key``); it does every cache access.  Pass 2 groups them by
+    key, and one helper of the ``LOD_THREADS`` helper pool (or, with one
+    worker, the calling thread) runs each group: it cuts the group's
+    ``SaddleSystem``, factorizes it, solves the elements' right-hand
+    sides in blocks of ``_CHUNK`` elements (``_block_solve``) into their
+    own slots of Q and drops the LU.  The solutions are summed in
+    ascending element order, as a one-by-one traversal sums them, so the
+    results depend neither on the grouping nor on the helpers.  A
+    helper's error stops the runs not yet started and is raised here once
+    the running ones have ended.
     """
     workers = _worker_count()
     mesh = ctx.mesh
@@ -300,10 +286,15 @@ def compute_correctors(ctx, op, k, f_spec=None):
     q_vals = np.empty(offsets[-1])
     u_parts = {}  # work index -> solution of its load on its dofs
 
-    def run(system, group):
-        """Factorize ``system``, solve the elements ``group`` (work indices) with it
-        into their own slots, and drop the LU, all on this thread."""
+    def run(group):
+        """Cut, factorize and solve the system of ``group`` (work indices), write its
+        elements' own slots and drop the LU, all on this thread; return the count of
+        dropped rows.  Once ``stop`` is set, a run not yet started does nothing."""
+        if stop.is_set():
+            return 0
+        system = None
         try:
+            system = _saddle_system(ctx, op, work[group[0]][2])
             system.factorize()
             for start in range(0, len(group), _CHUNK):
                 chunk = group[start : start + _CHUNK]
@@ -315,46 +306,33 @@ def compute_correctors(ctx, op, k, f_spec=None):
                     q_vals[a:b] = U[:, : len(verts)].T.ravel()
                     if load is not None:
                         u_parts[idx] = U[:, -1].copy()  # a view would keep the whole block alive
+            return len(system.dropped_rows)
+        except BaseException:
+            stop.set()
+            raise
         finally:
-            system.release()  # scipy frees an LU only on the thread that built it
+            if system is not None:
+                system.release()  # scipy frees an LU only on the thread that built it
 
     order = sorted(range(len(work)), key=lambda i: work[i][:2])
     groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: work[i][0])]
-    pool = _helper_pool(workers) if workers > 1 else None
-    pending = set()
-    dropped_rows = 0
-    try:
-        for group in groups:
-            system = _saddle_system(ctx, op, work[group[0]][2])
-            dropped_rows += len(system.dropped_rows)
-            if pool is None:
-                run(system, group)
-                continue
-            while len(pending) >= 2 * workers:
-                pending = _first_finished(pending)
-            pending.add(pool.submit(run, system, group))
-        while pending:
-            pending = _first_finished(pending)
-    except BaseException:
-        for future in pending:
-            future.cancel()
-        wait(pending)  # the running ones drop their own LUs
-        raise
+    stop = threading.Event()
+    if workers == 1:
+        dropped_rows = sum(map(run, groups))
+    else:
+        pool = _helper_pool(workers)
+        futures = [pool.submit(run, group) for group in groups]
+        try:
+            dropped_rows = sum(f.result() for f in futures)
+        finally:
+            stop.set()  # also when the caller is interrupted
+            wait(futures)  # the running ones drop their own LUs
 
     Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
     u_f = np.zeros(n_fine)
     for idx in sorted(u_parts):
         u_f[work[idx][2]] += u_parts[idx]
     return CorrectorSet(k, op.kind, free, Q, len(groups), len(work), dropped_rows), u_f
-
-
-def _first_finished(pending):
-    """Wait until a run of ``pending`` ends, raise its error if it failed, and
-    return the runs still pending."""
-    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-    for future in done:
-        future.result()
-    return pending
 
 
 @dataclass

@@ -319,18 +319,24 @@ def test_lod_threads_rejects_bad_values(tmp_path, monkeypatch, raw):
 
 
 def test_lod_threads_zero_means_auto(monkeypatch):
-    monkeypatch.setenv("LOD_THREADS", "0")
-    assert _worker_count() == min(4, os.cpu_count() or 1)
-    monkeypatch.setenv("LOD_THREADS", "3")
-    assert _worker_count() == 3
+    """Unset or 0 means min(4, usable CPUs); any value is capped at that count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for raw, workers in (("0", 4), ("3", 3), ("9", 4)):
+        monkeypatch.setenv("LOD_THREADS", raw)
+        assert _worker_count() == workers
+    monkeypatch.delenv("LOD_THREADS")
+    assert _worker_count() == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _worker_count() == 2
 
 
 def test_helper_failure_fails_only_its_cell(tmp_path, monkeypatch):
     """With two factorization helpers, a KKT factorization that fails on a
     helper turns its sweep cell into a failed row; every other cell runs and
     matches a clean run."""
-    from test_lod import failing_splu
+    from test_lod import failing_splu, usable_cpus
 
+    usable_cpus(monkeypatch, 2)
     monkeypatch.setenv("LOD_THREADS", "2")
     config = tiny_config(tmp_path)
     clean = run_experiment(config)  # fills the reference cache, so only cells factorize
@@ -344,8 +350,16 @@ def test_helper_failure_fails_only_its_cell(tmp_path, monkeypatch):
         r for r in clean if (r.operator, r.alpha, r.k) not in failed]
 
 
+def _as_npz(path):
+    """Overwrite the entry at ``path`` with an .npz archive of its array."""
+    u = np.load(path)
+    with path.open("wb") as fh:
+        np.savez(fh, u)
+
+
 CORRUPTIONS = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[:100]),
+    "npz": _as_npz,
     "nan": lambda path: np.save(path, np.full_like(np.load(path), np.nan)),
     "float32": lambda path: np.save(path, np.load(path).astype(np.float32)),
     "complex": lambda path: np.save(path, np.load(path).astype(np.complex128)),

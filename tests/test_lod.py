@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -548,21 +549,31 @@ def assert_arrays_equal(got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def failing_splu(monkeypatch, nth):
-    """Make scipy's splu, as lod2d.assembly calls it, raise on its nth call from
-    any thread; returns the list of calls made."""
-    splu, calls, lock = assembly.spla.splu, [], threading.Lock()
+def failing_call(monkeypatch, owner, name, nth, error):
+    """Make ``owner.name`` raise ``error`` on its nth call from any thread; returns
+    the list of the calling threads, one per call made."""
+    fn, calls, lock = getattr(owner, name), [], threading.Lock()
 
     def fake(*args, **kwargs):
         with lock:
-            calls.append(1)
+            calls.append(threading.get_ident())
             n = len(calls)
         if n == nth:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(*args, **kwargs)
+            raise error
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(assembly.spla, "splu", fake)
+    monkeypatch.setattr(owner, name, fake)
     return calls
+
+
+def failing_splu(monkeypatch, nth):
+    """Make scipy's splu, as lod2d.assembly calls it, raise on its nth call."""
+    return failing_call(monkeypatch, assembly.spla, "splu", nth, RuntimeError("Factor is exactly singular"))
+
+
+def usable_cpus(monkeypatch, n):
+    """Let ``LOD_THREADS`` ask for up to ``n`` workers, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.mark.parametrize("dirichlet", [("left", "right", "bottom", "top"), ("left", "bottom")])
@@ -578,12 +589,14 @@ def test_results_do_not_depend_on_helper_count(monkeypatch, coefficient, dirichl
             "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
     ctx = BilinearFormContext(mesh, coef)
     f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    usable_cpus(monkeypatch, 3)
     for kind in ("IH", "SZ", "AprojQM"):
         op = build_operator(kind, mesh, coef)
         for k in (1, 2, None):
             results = []
             for helpers in ("1", "2", "3"):
                 monkeypatch.setenv("LOD_THREADS", helpers)
+                assert lod._worker_count() == int(helpers)
                 results.append(corrector_arrays(*compute_correctors(ctx, op, k, f_spec=f)))
             assert results[0][3].any()
             for got in results[1:]:
@@ -591,11 +604,12 @@ def test_results_do_not_depend_on_helper_count(monkeypatch, coefficient, dirichl
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
-    """A SolverError on a factorization helper, from a failed KKT factorization
-    or from a residual miss, is raised by compute_correctors in the calling
-    thread.  The queued runs are cancelled, every LU is dropped on the thread
-    that built it before the call returns, and a clean call on the same context
-    and operator then gives the one-worker results array for array.  A residual
+    """An error on a factorization helper, from cutting its system (the row
+    check), a failed KKT factorization, an interrupt in a block solve or a
+    residual miss, is raised by compute_correctors in the calling thread.  The
+    runs not yet started do nothing, every LU is dropped on the thread that
+    built it before the call returns, and a clean call on the same context and
+    operator then gives the one-worker results array for array.  A residual
     miss in one column of a block of several elements names that column's
     element and hat in the error, with that column's residuals."""
     mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
@@ -604,7 +618,7 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
     monkeypatch.setenv("LOD_THREADS", "1")
     ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
-    assert ref[4][0] > 100  # factorizations, far more than two helpers keep queued
+    assert ref[4][0] > 100  # factorizations, far more than two helpers run at once
 
     events = []  # (method, system, thread), appended before the method runs
     for name in ("factorize", "release"):
@@ -616,13 +630,44 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     def lu_threads(name):
         return {id(system): thread for method, system, thread in events if method == name}
 
+    def holding_first_solve(m, calls):
+        """Hold the first block solve, and the caller waiting on its run, until
+        ``calls`` reaches the bound or a second has passed: the failed run alone
+        must stop the runs not yet started."""
+        block_solve, held, lock = lod._block_solve, [], threading.Lock()
+
+        def holding(*args):
+            with lock:
+                first = not held
+                held.append(1)
+            deadline = time.monotonic() + 1.0
+            while first and len(calls) < 3 + 4 * 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return block_solve(*args)
+
+        m.setattr(lod, "_block_solve", holding)
+        return calls
+
+    usable_cpus(monkeypatch, 2)
     monkeypatch.setenv("LOD_THREADS", "2")
-    calls = failing_splu(monkeypatch, 3)
-    with pytest.raises(SolverError, match="KKT factorization failed"):
-        compute_correctors(ctx, op, 1, f_spec=f)
-    assert 3 <= len(calls) < 3 + 4 * 2
-    assert lu_threads("factorize") == lu_threads("release")
-    assert threading.get_ident() not in lu_threads("factorize").values()
+    faults = [
+        (SolverError, "KKT factorization failed", lambda m: failing_splu(m, 3)),
+        (SolverError, "KKT factorization failed", lambda m: holding_first_solve(m, failing_splu(m, 3))),
+        (SolverError, "row check", lambda m: failing_call(
+            m, assembly, "independent_constraint_rows", 3, SolverError("row check failed"))),
+        (KeyboardInterrupt, None, lambda m: failing_call(m, lod, "_block_solve", 3, KeyboardInterrupt())),
+    ]
+    for error, match, inject in faults:
+        events.clear()
+        with monkeypatch.context() as m:
+            calls = inject(m)
+            with pytest.raises(error, match=match):
+                compute_correctors(ctx, op, 1, f_spec=f)
+        assert 3 <= len(calls) < 3 + 4 * 2
+        assert threading.get_ident() not in calls
+        assert lu_threads("factorize") == lu_threads("release")
+        assert threading.get_ident() not in lu_threads("factorize").values()
+        assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
 
     events.clear()
     with monkeypatch.context() as m:
