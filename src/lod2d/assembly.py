@@ -254,52 +254,40 @@ def independent_constraint_rows(C):
 
 
 class SaddleSystem:
-    """KKT system K u + C^T lam = b, C u = 0, factorized once and solved for many b.
+    """Factorized KKT system K u + C^T lam = b, C u = 0, solved for many b.
 
     Zero rows of C are pruned and a maximal independent subset of the
     rest is kept (``dropped_rows`` names the others); redundant rows
     leave the constrained minimizer unchanged.  The kept rows are
-    equilibrated to unit norm and the symmetric indefinite KKT block
-    matrix is built; ``factorize`` then factorizes it with a sparse LU.
+    equilibrated to unit norm, and the symmetric indefinite KKT block
+    matrix ``kkt`` is built and factorized with a sparse LU.  scipy frees
+    an LU's memory only on the thread that built it, so the thread that
+    constructs a system must also ``release`` it.
     """
 
     def __init__(self, K, C):
-        self.K = K.tocsr()
-        self.n = self.K.shape[0]
-        C = sparse.csr_matrix((0, self.n)) if C is None else C.tocsr()
-        self.num_rows = C.shape[0]
+        C = C.tocsr()
+        self.n, self.num_rows = K.shape[0], C.shape[0]
         nonzero = np.flatnonzero(np.diff(C.indptr) > 0)
         if len(nonzero) < self.num_rows:
             C = C[nonzero]
         # normalizing a row does not depend on the other rows, so the kept
         # rows of the normalized C are the normalized kept rows
-        self.C, self.norms = _row_normalized(C)
-        kept = independent_constraint_rows(self.C)
+        C, self.norms = _row_normalized(C)
+        kept = independent_constraint_rows(C)
         self.rows = nonzero[kept]
-        dropped = np.ones(len(nonzero), dtype=bool)
-        dropped[kept] = False
-        self.dropped_rows = nonzero[dropped]
+        self.dropped_rows = np.setdiff1d(nonzero, self.rows)
         if len(kept) < len(nonzero):
-            self.C, self.norms = self.C[kept], self.norms[kept]
+            C, self.norms = C[kept], self.norms[kept]
         self.m = len(self.rows)
-        self.Ct = self.C.T
-        self.kkt = _kkt_matrix(self.K, self.C)
-        self.lu = None
-
-    def factorize(self):
-        """Factorize the KKT matrix; returns self.
-
-        scipy frees an LU's memory only on the thread that built it, so
-        the thread that calls this must also ``release`` it.
-        """
+        self.kkt = _kkt_matrix(K, C)
         try:
             self.lu = spla.splu(self.kkt)
         except RuntimeError as exc:
             raise SolverError(f"KKT factorization failed: {exc}") from exc
-        return self
 
     def release(self):
-        """Drop the LU; call it on the thread that factorized."""
+        """Drop the LU; call it on the thread that constructed the system."""
         self.lu = None
 
     def solve(self, B, labels=None):
@@ -319,12 +307,10 @@ class SaddleSystem:
         # test_block_solves_equal_column_solves guards.
         for j in range(0, sol.shape[1], 3):
             sol[:, j : j + 3] = self.lu.solve(sol[:, j : j + 3])  # solve copies its input
-        U, lam = sol[: self.n], sol[self.n :]
-        R = self.K @ U  # in place: each temporary is as large as the whole block
-        R += self.Ct @ lam
-        R -= B
-        r1 = np.linalg.norm(R, axis=0)
-        r2 = np.linalg.norm(self.C @ U, axis=0)
+        R = self.kkt @ sol
+        R[: self.n] -= B
+        r1 = np.linalg.norm(R[: self.n], axis=0)
+        r2 = np.linalg.norm(R[self.n :], axis=0)
         scale = np.linalg.norm(B, axis=0) + 1.0
         bad = np.flatnonzero(np.maximum(r1, r2) > SADDLE_RTOL * scale)
         if len(bad):
@@ -335,8 +321,8 @@ class SaddleSystem:
                 f"{SADDLE_RTOL:.1e} * (||b|| + 1) = {SADDLE_RTOL * scale[j]:.3e}"
             )
         lam_full = np.zeros((self.num_rows, B.shape[1]))
-        lam_full[self.rows] = lam / self.norms[:, None]
-        return U, lam_full
+        lam_full[self.rows] = sol[self.n :] / self.norms[:, None]
+        return sol[: self.n], lam_full
 
 
 class BilinearFormContext:

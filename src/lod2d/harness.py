@@ -172,6 +172,9 @@ class ExperimentConfig:
         for k in self.ks:
             if k < 1:
                 raise ParameterError(f"k values must be >= 1, got {k}")
+        for key in ("csv", "svg_prefix", "cache_dir"):
+            if "\0" in (getattr(self, key) or ""):
+                raise ParameterError(f"config key {key!r} contains a NUL byte")
         if not self.dirichlet:
             raise ParameterError("dirichlet boundary must be nonempty")
         BoundarySpec.edges(*self.dirichlet)  # validates edge names
@@ -387,6 +390,11 @@ def read_csv(path):
         try:
             if len(parts) != width:
                 raise ValueError(f"expected {width} fields, got {len(parts)}")
+            # the operator names an SVG file and is written into it
+            if parts[0] not in OPERATOR_KINDS:
+                raise ValueError(f"unknown operator {parts[0]!r}")
+            if parts[8] not in ("ok", "failed"):
+                raise ValueError(f"status must be ok or failed, got {parts[8]!r}")
             rows.append(
                 ResultRow(
                     parts[0], float(parts[1]), int(parts[2]), float(parts[3]),
@@ -451,7 +459,7 @@ def _render_panel(operator, rows):
     out.append(
         f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x0:.1f}" y2="{y1:.1f}" stroke="black"/>'
     )
-    for k in range(int(k_lo), int(k_hi) + 1):
+    for k in range(int(k_lo), int(k_hi) + 1, max(1, round((k_hi - k_lo) / 8))):
         x, _ = _svg_coords(k, y_lo, (k_lo, k_hi), (y_lo, y_hi))
         out.append(f'<line x1="{x:.1f}" y1="{y0:.1f}" x2="{x:.1f}" y2="{y0 + 5:.1f}" stroke="black"/>')
         out.append(

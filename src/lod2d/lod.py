@@ -179,7 +179,7 @@ def _system_key(ctx, op, T, k, dofs):
 
 
 def _saddle_system(ctx, op, dofs):
-    """The patch system on ``dofs``, cut from K and R."""
+    """The factorized patch system on ``dofs``, cut from K and R."""
     K, C = _stiffness_cut(ctx.stiffness, dofs), _constraint_cut(op.matrix_csc, dofs)
     return SaddleSystem(*(sparse.csr_matrix(M[:3], shape=M[3]) for M in (K, C)))
 
@@ -219,7 +219,7 @@ def element_corrector(ctx, op, i, T, k=INFINITE_K):
     if i not in mesh.coarse.elements[T]:
         raise ParameterError(f"node {i} is not a vertex of coarse element {T}")
     dofs = _patch_dofs(ctx, T, _resolve_k(mesh, k))
-    system = _saddle_system(ctx, op, dofs).factorize()
+    system = _saddle_system(ctx, op, dofs)
     nodes, KP, _ = _element_blocks(ctx, [T])[0]
     out = np.zeros(mesh.fine.num_nodes)
     out[dofs] = _block_solve(ctx, system, [(None, T, dofs, [int(i)], nodes, KP, None)])[0][:, 0]
@@ -250,17 +250,16 @@ def compute_correctors(ctx, op, k, f_spec=None):
     element load nonzero on a free node) and keys each by the pair of
     digests of its patch system's stiffness and constraint halves
     (``_system_key``); it does every cache access.  Pass 2 groups them by
-    key, and one helper of the ``LOD_THREADS`` helper pool (or, with one
-    worker, the calling thread) runs each group: it cuts the group's
-    ``SaddleSystem``, factorizes it, solves the elements' right-hand
-    sides in blocks of ``_CHUNK`` elements (``_block_solve``) into their
-    own slots of Q and drops the LU.  The solutions are summed in
-    ascending element order, as a one-by-one traversal sums them, so the
-    results depend neither on the grouping nor on the helpers.  A
-    helper's error stops the runs not yet started and is raised here once
-    the running ones have ended.
+    key, and one helper of the ``LOD_THREADS`` helper pool runs each
+    group, whatever the worker count: it cuts and factorizes the group's
+    ``SaddleSystem``, solves the elements' right-hand sides in blocks of
+    ``_CHUNK`` elements (``_block_solve``) into their own slots of Q and
+    drops the LU.  The solutions are summed in ascending element order,
+    as a one-by-one traversal sums them, so the results depend neither
+    on the grouping nor on the helpers.  A helper's error stops the runs
+    not yet started and is raised here once the running ones have ended.
     """
-    workers = _worker_count()
+    pool = _helper_pool(_worker_count())
     mesh = ctx.mesh
     k = _resolve_k(mesh, k)
     free = op.free_nodes
@@ -295,7 +294,6 @@ def compute_correctors(ctx, op, k, f_spec=None):
         system = None
         try:
             system = _saddle_system(ctx, op, work[group[0]][2])
-            system.factorize()
             for start in range(0, len(group), _CHUNK):
                 chunk = group[start : start + _CHUNK]
                 for idx, U in zip(chunk, _block_solve(ctx, system, [work[i] for i in chunk])):
@@ -317,16 +315,13 @@ def compute_correctors(ctx, op, k, f_spec=None):
     order = sorted(range(len(work)), key=lambda i: work[i][:2])
     groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: work[i][0])]
     stop = threading.Event()
-    if workers == 1:
-        dropped_rows = sum(map(run, groups))
-    else:
-        pool = _helper_pool(workers)
-        futures = [pool.submit(run, group) for group in groups]
-        try:
-            dropped_rows = sum(f.result() for f in futures)
-        finally:
-            stop.set()  # also when the caller is interrupted
-            wait(futures)  # the running ones drop their own LUs
+    futures = [pool.submit(run, group) for group in groups]
+    try:
+        wait(futures)  # one wake-up for the whole pass, not one per future
+    finally:
+        stop.set()  # also when the caller is interrupted
+        wait(futures)  # the running ones drop their own LUs
+    dropped_rows = sum(f.result() for f in futures)
 
     Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
     u_f = np.zeros(n_fine)

@@ -38,7 +38,7 @@ def solve_saddle(K, C, b):
     zero.  Linearly dependent rows raise ConstraintDegeneracyError
     naming the rows a maximal independent subset leaves out.
     """
-    system = SaddleSystem(K, C).factorize()
+    system = SaddleSystem(K, C)
     if len(system.dropped_rows):
         dropped = [int(r) for r in system.dropped_rows]
         raise ConstraintDegeneracyError(
@@ -398,6 +398,11 @@ def test_saddle_rank_deficiency_named():
     with pytest.raises(ConstraintDegeneracyError) as exc:
         solve_saddle(K, sparse.csr_matrix(rows), np.ones(n))
     assert exc.value.offending_rows
+
+
+def test_singular_kkt_fails_at_construction():
+    with pytest.raises(SolverError, match="KKT factorization failed"):
+        SaddleSystem(sparse.csr_matrix((4, 4)), sparse.csr_matrix((0, 4)))
 
 
 def test_saddle_delivers_minimizer():

@@ -205,6 +205,9 @@ def test_python_dash_m_entry_points(tmp_path):
         "bad-delta-third-field",
         "bad-delta-two-field",
         "bad-lod-threads",
+        "nul-byte-csv",
+        "nul-byte-svg_prefix",
+        "nul-byte-cache_dir",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
@@ -276,6 +279,11 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
     elif case == "bad-lod-threads":
         monkeypatch.setenv("LOD_THREADS", "abc")
         argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}/d.csv\n"))]
+    elif case.startswith("nul-byte-"):
+        key = case.removeprefix("nul-byte-")
+        paths = {"csv": f"{tmp_path}/d.csv", "svg_prefix": f"{tmp_path}/p_", "cache_dir": f"{tmp_path}/c"}
+        paths[key] += "\0x"
+        argv = ["run", str(write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in paths.items())))]
     elif case == "output-under-a-file":
         (tmp_path / "file").write_text("")
         argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]
@@ -286,6 +294,8 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
     assert cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    if case.startswith("nul-byte-"):
+        assert f"config key {key!r} contains a NUL byte" in err
     if case.startswith("bad-delta-"):
         assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()

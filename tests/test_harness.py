@@ -257,6 +257,17 @@ def test_emit_svg_full_panel(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_emit_svg_k_ticks_are_stepped(tmp_path):
+    """A wide k range gets a few stepped ticks, not one per integer k."""
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{CSV_HEADER}\nIH,0.1,1,0.0625,0.0078125,1e-2,0,0,ok\n"
+                    "IH,0.1,1000000000,0.0625,0.0078125,1e-3,0,0,ok\n", encoding="utf-8")
+    (svg,) = emit_svg(read_csv(path), str(tmp_path / "plot_"))
+    assert svg.stat().st_size < 8192
+    k_labels = svg.read_text().count('text-anchor="middle" font-family="sans-serif" font-size="12"')
+    assert 2 <= k_labels <= 10
+
+
 def test_emit_svg_skips_failed_rows(tmp_path):
     rows = [
         ResultRow("SZ", 0.1, 1, 0.0625, 0.0078125, 1e-2, 0.0, 0, "ok"),
@@ -300,8 +311,12 @@ def test_parse_config_malformed_file(tmp_path, content):
         "IH,0.1,1",
         "IH,0.1,one,0.0625,0.0078125,1e-3,0,7,ok",
         "IH,0.1,1,0.0625,0.0078125,1e-3,0,7,ok,extra",
+        "../escape,0.1,1,0.0625,0.0078125,1e-3,0,7,ok",
+        "S<Z&,0.1,1,0.0625,0.0078125,1e-3,0,7,ok",
+        "IH,0.1,1,0.0625,0.0078125,1e-3,0,7,done",
     ],
-    ids=["short-row", "non-numeric-field", "long-row"],
+    ids=["short-row", "non-numeric-field", "long-row", "path-operator", "markup-operator",
+         "unknown-status"],
 )
 def test_read_csv_malformed_row(tmp_path, row):
     path = tmp_path / "rows.csv"

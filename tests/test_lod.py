@@ -616,19 +616,32 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     coef = gen_random_field(mesh, 1e-3, 1)
     ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
     f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
-    monkeypatch.setenv("LOD_THREADS", "1")
-    ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
-    assert ref[4][0] > 100  # factorizations, far more than two helpers run at once
+    # (method, system, thread): a factorization once the constructor has built
+    # the LU, a release before it runs, so a failed construction records neither
+    events = []
+    construct, release = SaddleSystem.__init__, SaddleSystem.release
 
-    events = []  # (method, system, thread), appended before the method runs
-    for name in ("factorize", "release"):
-        def spy(self, _method=getattr(SaddleSystem, name), _name=name):
-            events.append((_name, self, threading.get_ident()))
-            return _method(self)
-        monkeypatch.setattr(SaddleSystem, name, spy)
+    def constructing(self, K, C):
+        construct(self, K, C)
+        events.append(("factorize", self, threading.get_ident()))
+
+    def releasing(self):
+        events.append(("release", self, threading.get_ident()))
+        release(self)
+
+    monkeypatch.setattr(SaddleSystem, "__init__", constructing)
+    monkeypatch.setattr(SaddleSystem, "release", releasing)
 
     def lu_threads(name):
         return {id(system): thread for method, system, thread in events if method == name}
+
+    monkeypatch.setenv("LOD_THREADS", "1")
+    ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
+    assert ref[4][0] > 100  # factorizations, far more than two helpers run at once
+    # one worker is a helper too: no LU is built on the calling thread
+    assert len(lu_threads("factorize")) == ref[4][0]
+    assert lu_threads("factorize") == lu_threads("release")
+    assert threading.get_ident() not in lu_threads("factorize").values()
 
     def holding_first_solve(m, calls):
         """Hold the first block solve, and the caller waiting on its run, until
