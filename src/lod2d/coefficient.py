@@ -47,10 +47,6 @@ class Coefficient:
         """Per-fine-element values, one read-only array shared by all calls."""
         return self._values
 
-    @property
-    def contrast(self):
-        return 1.0 / self.alpha
-
 
 @dataclass(frozen=True)
 class ComponentLabeling:
@@ -60,9 +56,17 @@ class ComponentLabeling:
     count: int
 
 
-def _rng(seed):
+def check_parameters(seed=0, smoothing_passes=6, one_fraction=0.5):
+    """Raise ``ParameterError`` unless the random generators accept these values."""
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
+    if smoothing_passes < 0:
+        raise ParameterError(f"smoothing_passes must be >= 0, got {smoothing_passes}")
+    if not (0.0 <= one_fraction <= 1.0):
+        raise ParameterError(f"one_fraction must be in [0, 1], got {one_fraction}")
+
+
+def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -110,6 +114,7 @@ def gen_random_balls(mesh: MeshHierarchy, alpha, seed) -> Coefficient:
     each consumes two uniform draws (keep with probability 1/2, then a
     radius in [1/128, 8/128]), whether or not the ball is kept.
     """
+    check_parameters(seed)
     n_nodes = (BALL_LATTICE + 1) ** 2
     u = _rng(seed).random(2 * n_nodes)
     keep = u[0::2] < 0.5
@@ -129,10 +134,7 @@ def gen_random_field(
     ``round(one_fraction * ncells)`` cells with the smallest values are
     flagged; both triangles of a cell share its flag.
     """
-    if not (0.0 <= one_fraction <= 1.0):
-        raise ParameterError(f"one_fraction must be in [0, 1], got {one_fraction}")
-    if smoothing_passes < 0:
-        raise ParameterError("smoothing_passes must be >= 0")
+    check_parameters(seed, smoothing_passes, one_fraction)
     n = mesh.fine.n
     cells = _rng(seed).random(n * n).reshape(n, n)  # [row j, column i]
     for _ in range(smoothing_passes):

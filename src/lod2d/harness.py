@@ -178,6 +178,7 @@ class ExperimentConfig:
         if not self.dirichlet:
             raise ParameterError("dirichlet boundary must be nonempty")
         BoundarySpec.edges(*self.dirichlet)  # validates edge names
+        coefmod.check_parameters(self.seed, self.smoothing_passes, self.one_fraction)
         ratio = level_ratio(self.coarse_level, self.fine_level)
         if self.delta is not None:
             delta_steps(self.delta, ratio)
@@ -317,16 +318,13 @@ def run_experiment(config: ExperimentConfig):
 
     contexts, references = {}, {}
     operators = {}  # (kind, alpha) -> the operator, or the error its build raised
-    alpha_free = []  # (is_one, {kind: operator or error}) per distinct is_one mask
+    alpha_free = {}  # is_one mask bytes -> {kind: operator or error}
     for alpha in config.alphas:
         coef = config.coefficient_at(mesh, alpha)
         ctx = BilinearFormContext(mesh, coef)
         contexts[alpha] = ctx
         references[alpha] = _cached_reference(config, ctx, alpha)
-        shared = next((ops for mask, ops in alpha_free if np.array_equal(mask, coef.is_one)), None)
-        if shared is None:
-            shared = {}
-            alpha_free.append((coef.is_one, shared))
+        shared = alpha_free.setdefault(coef.is_one.tobytes(), {})
         for kind in config.operators:
             built = shared if kind in ALPHA_FREE_KINDS else {}
             if kind not in built:

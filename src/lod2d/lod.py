@@ -15,8 +15,7 @@ import functools
 import hashlib
 import itertools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ from .errors import ParameterError, SolverError
 from .interp import InterpOperator
 from .mesh import ElementSet, element_patch
 
-INFINITE_K = None  # alias accepted anywhere a patch size is expected
 # elements per right-hand-side block: one block per whole run of equal systems
 # raised the desk sweep's peak RSS by about 15%; blocks of 8 keep it in its spread
 _CHUNK = 8
@@ -70,7 +68,7 @@ def saturation_k(mesh):
 
 
 def _resolve_k(mesh, k):
-    if k is INFINITE_K or k == np.inf:
+    if k is None or k == np.inf:
         return saturation_k(mesh)
     if not float(k).is_integer() or k < 1:
         raise ParameterError(f"patch size k must be an integer >= 1, got {k}")
@@ -205,7 +203,7 @@ def _block_solve(ctx, system, items):
     return np.split(system.solve(B, labels)[0], np.cumsum(widths)[:-1], axis=1)
 
 
-def element_corrector(ctx, op, i, T, k=INFINITE_K):
+def element_corrector(ctx, op, i, T, k=None):
     """Corrector of the coarse hat at node i restricted to element T.
 
     Solves the patch-local constrained projection: find a kernel
@@ -256,8 +254,11 @@ def compute_correctors(ctx, op, k, f_spec=None):
     ``_CHUNK`` elements (``_block_solve``) into their own slots of Q and
     drops the LU.  The solutions are summed in ascending element order,
     as a one-by-one traversal sums them, so the results depend neither
-    on the grouping nor on the helpers.  A helper's error stops the runs
-    not yet started and is raised here once the running ones have ended.
+    on the grouping nor on the helpers.  The call waits on the runs'
+    futures until all are done or one has failed; then, and also when
+    the caller is interrupted, it cancels every future not yet started,
+    waits for the running ones to drop their LUs, and raises the first
+    error in submission order.
     """
     pool = _helper_pool(_worker_count())
     mesh = ctx.mesh
@@ -288,12 +289,9 @@ def compute_correctors(ctx, op, k, f_spec=None):
     def run(group):
         """Cut, factorize and solve the system of ``group`` (work indices), write its
         elements' own slots and drop the LU, all on this thread; return the count of
-        dropped rows.  Once ``stop`` is set, a run not yet started does nothing."""
-        if stop.is_set():
-            return 0
-        system = None
+        dropped rows."""
+        system = _saddle_system(ctx, op, work[group[0]][2])  # no LU if this raises
         try:
-            system = _saddle_system(ctx, op, work[group[0]][2])
             for start in range(0, len(group), _CHUNK):
                 chunk = group[start : start + _CHUNK]
                 for idx, U in zip(chunk, _block_solve(ctx, system, [work[i] for i in chunk])):
@@ -305,23 +303,21 @@ def compute_correctors(ctx, op, k, f_spec=None):
                     if load is not None:
                         u_parts[idx] = U[:, -1].copy()  # a view would keep the whole block alive
             return len(system.dropped_rows)
-        except BaseException:
-            stop.set()
-            raise
         finally:
-            if system is not None:
-                system.release()  # scipy frees an LU only on the thread that built it
+            system.release()  # scipy frees an LU only on the thread that built it
 
     order = sorted(range(len(work)), key=lambda i: work[i][:2])
     groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: work[i][0])]
-    stop = threading.Event()
     futures = [pool.submit(run, group) for group in groups]
     try:
-        wait(futures)  # one wake-up for the whole pass, not one per future
+        wait(futures, return_when=FIRST_EXCEPTION)  # one wake-up for the whole pass
     finally:
-        stop.set()  # also when the caller is interrupted
+        for f in futures:  # also when the caller is interrupted
+            f.cancel()
         wait(futures)  # the running ones drop their own LUs
-    dropped_rows = sum(f.result() for f in futures)
+    # the queue is FIFO, so the runs before a failed one have started, unless a helper
+    # had only just taken one off it: skip the cancelled and raise the first error
+    dropped_rows = sum(f.result() for f in futures if not f.cancelled())
 
     Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
     u_f = np.zeros(n_fine)

@@ -281,44 +281,16 @@ class MeshHierarchy:
 
 
 def _refine_once(level):
-    """One-level P1 prolongation: copy at coincident nodes, average at edge midpoints."""
+    """One-level P1 prolongation: every fine node takes 0.5 from each end of the
+    coarse edge it halves.  A cell centre halves the NW-SE diagonal, and both ends
+    of a coincident node are its own coarse node, so its two halves sum to 1."""
     nc = 2**level
-    nf = 2 * nc
-    rows, cols, vals = [], [], []
-
-    def cnode(i, j):
-        return j * (nc + 1) + i
-
-    fi, fj = np.meshgrid(np.arange(nf + 1), np.arange(nf + 1), indexing="xy")
-    fi, fj = fi.ravel(), fj.ravel()
-    fidx = fj * (nf + 1) + fi
-    even = (fi % 2 == 0) & (fj % 2 == 0)
-    rows.append(fidx[even])
-    cols.append(cnode(fi[even] // 2, fj[even] // 2))
-    vals.append(np.ones(even.sum()))
-
-    hmid = (fi % 2 == 1) & (fj % 2 == 0)  # horizontal coarse edge
-    for di in (0, 1):
-        rows.append(fidx[hmid])
-        cols.append(cnode((fi[hmid] - 1) // 2 + di, fj[hmid] // 2))
-        vals.append(np.full(hmid.sum(), 0.5))
-
-    vmid = (fi % 2 == 0) & (fj % 2 == 1)  # vertical coarse edge
-    for dj in (0, 1):
-        rows.append(fidx[vmid])
-        cols.append(cnode(fi[vmid] // 2, (fj[vmid] - 1) // 2 + dj))
-        vals.append(np.full(vmid.sum(), 0.5))
-
-    cmid = (fi % 2 == 1) & (fj % 2 == 1)  # cell center = NW-SE diagonal midpoint
-    ci, cj = (fi[cmid] - 1) // 2, (fj[cmid] - 1) // 2
-    for di, dj in ((0, 1), (1, 0)):
-        rows.append(fidx[cmid])
-        cols.append(cnode(ci + di, cj + dj))
-        vals.append(np.full(cmid.sum(), 0.5))
-
-    data = np.concatenate(vals)
-    rc = (np.concatenate(rows), np.concatenate(cols))
-    return sparse.csr_matrix((data, rc), shape=((nf + 1) ** 2, (nc + 1) ** 2))
+    fi, fj = np.meshgrid(np.arange(2 * nc + 1), np.arange(2 * nc + 1), indexing="xy")
+    (ci, pi), (cj, pj) = np.divmod(fi.ravel(), 2), np.divmod(fj.ravel(), 2)
+    diag = pi & pj
+    ends = np.concatenate([(cj + diag) * (nc + 1) + ci, (cj + pj - diag) * (nc + 1) + ci + pi])
+    rows = np.tile(np.arange(len(ci)), 2)
+    return sparse.csr_matrix((np.full(len(ends), 0.5), (rows, ends)), shape=(len(ci), (nc + 1) ** 2))
 
 
 def build_hierarchy(coarse_level, fine_level, boundary) -> MeshHierarchy:

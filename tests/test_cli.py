@@ -208,6 +208,10 @@ def test_python_dash_m_entry_points(tmp_path):
         "nul-byte-csv",
         "nul-byte-svg_prefix",
         "nul-byte-cache_dir",
+        "stripes-seed--1",
+        "stripes-seed-18446744073709551616",
+        "stripes-smoothing_passes--3",
+        "stripes-one_fraction-7",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
@@ -284,6 +288,13 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         paths = {"csv": f"{tmp_path}/d.csv", "svg_prefix": f"{tmp_path}/p_", "cache_dir": f"{tmp_path}/c"}
         paths[key] += "\0x"
         argv = ["run", str(write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in paths.items())))]
+    elif case.startswith("stripes-"):
+        # every kind's config checks the generators' parameters, used or not
+        _, key, value = case.split("-", 2)
+        base = TINY.replace("field", "stripes").replace("seed = 5\n", "")
+        base = base.replace("fine_level = 4", "fine_level = 6")  # stripes need h <= 1/64
+        cfg = write_config(tmp_path, f"{key} = {value}\ncsv = {tmp_path}/out/d.csv\n", base=base)
+        argv = ["run", str(cfg)]
     elif case == "output-under-a-file":
         (tmp_path / "file").write_text("")
         argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]
@@ -300,8 +311,9 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()
     assert cells == []  # no sweep cell ran
-    if case.endswith("-load"):
+    if case.endswith("-load") or case.startswith("stripes-"):
         assert meshes == []  # rejected with the config, before the mesh is built
+        assert not (tmp_path / "out").exists()
 
 
 def test_decay_honours_config_delta(tmp_path, capsys):

@@ -644,9 +644,9 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     assert threading.get_ident() not in lu_threads("factorize").values()
 
     def holding_first_solve(m, calls):
-        """Hold the first block solve, and the caller waiting on its run, until
-        ``calls`` reaches the bound or a second has passed: the failed run alone
-        must stop the runs not yet started."""
+        """Hold the first block solve until ``calls`` reaches the bound or a
+        second has passed: the caller, woken by the failed run while this one
+        is held, must cancel the runs not yet started."""
         block_solve, held, lock = lod._block_solve, [], threading.Lock()
 
         def holding(*args):
@@ -733,6 +733,55 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     assert lu_threads("factorize") == lu_threads("release")
     assert threading.get_ident() not in lu_threads("factorize").values()
     monkeypatch.undo()
+    assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
+
+
+def test_caller_interrupt_cancels_the_pass(monkeypatch):
+    """An interrupt of the calling thread while it waits on the helpers reaches
+    the caller.  The runs not yet started never run, so with two runs done at
+    the interrupt at most two more per helper are factorized; each helper
+    releases every LU it built, and a clean call then gives the reference."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = gen_random_field(mesh, 1e-3, 1)
+    ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
+    helpers = 2
+    usable_cpus(monkeypatch, helpers)
+    monkeypatch.setenv("LOD_THREADS", str(helpers))
+    ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
+    # (thread, method) per event: ids are reused once a system is freed
+    events, waits = [], []
+    construct, release, wait = SaddleSystem.__init__, SaddleSystem.release, lod.wait
+
+    def constructing(self, K, C):
+        construct(self, K, C)
+        events.append((threading.get_ident(), "factorize"))
+
+    def releasing(self):
+        events.append((threading.get_ident(), "release"))
+        release(self)
+
+    def interrupted(futures, **kwargs):
+        """Wait for the first two runs, then interrupt; a later call waits as usual."""
+        waits.append(1)
+        if len(waits) > 1:
+            return wait(futures, **kwargs)
+        wait(futures[:2])
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(SaddleSystem, "__init__", constructing)
+        m.setattr(SaddleSystem, "release", releasing)
+        m.setattr(lod, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            compute_correctors(ctx, op, 1, f_spec=f)
+    factorized = sum(method == "factorize" for _, method in events)
+    assert 2 <= factorized <= 2 + 2 * helpers < ref[4][0]
+    # a helper runs one system at a time from construction to release
+    for thread in {t for t, _ in events}:
+        assert thread != threading.get_ident()
+        methods = [method for t, method in events if t == thread]
+        assert methods == ["factorize", "release"] * (len(methods) // 2)
     assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
 
 

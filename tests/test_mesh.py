@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from fractions import Fraction
 
 from lod2d.errors import ParameterError
@@ -7,6 +8,7 @@ from lod2d.mesh import (
     EDGE_NAMES,
     BoundarySpec,
     ElementSet,
+    _refine_once,
     build_hierarchy,
     element_patch,
     node_patch,
@@ -224,6 +226,33 @@ def test_prolongation_reproduces_coarse_functions(mesh35):
         else:
             direct = ne * (u + v - 1) + nw * (1 - u) + se * (1 - v)
         assert vals[node] == pytest.approx(direct, abs=1e-14)
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_refine_once_is_the_canonical_hat_matrix(level):
+    """The one-level prolongation is canonical CSR with int32 indices, float64
+    values and no stored zeros, holding every coarse hat's exact value at every
+    fine node: together these fix its arrays uniquely."""
+    P = _refine_once(level)
+    nc = 2**level
+    assert P.shape == ((2 * nc + 1) ** 2, (nc + 1) ** 2)
+    assert P.has_canonical_format
+    assert P.indices.dtype == P.indptr.dtype == np.int32 and P.data.dtype == np.float64
+    assert (P.data != 0).all()
+    # only the four corners of the coarse cell around a fine node can be nonzero
+    # there; a hat is 1 - max(|dx|, |dy|, |dx + dy|) in coarse units, clipped at 0
+    fine = np.arange(P.shape[0])
+    x, y = fine % (2 * nc + 1) / 2, fine // (2 * nc + 1) / 2
+    a0, b0 = np.minimum(x // 1, nc - 1), np.minimum(y // 1, nc - 1)
+    rows, cols, vals = [], [], []
+    for a, b in [(a0, b0), (a0 + 1, b0), (a0, b0 + 1), (a0 + 1, b0 + 1)]:
+        dx, dy = x - a, y - b
+        hat = np.maximum(1 - np.maximum.reduce([abs(dx), abs(dy), abs(dx + dy)]), 0)
+        rows.append(fine)
+        cols.append((b * (nc + 1) + a).astype(int))
+        vals.append(hat)
+    exact = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=P.shape)
+    assert (P != exact).nnz == 0
 
 
 def test_nestedness(mesh35):
