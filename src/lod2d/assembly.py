@@ -256,9 +256,9 @@ def independent_constraint_rows(C):
 class SaddleSystem:
     """Factorized KKT system K u + C^T lam = b, C u = 0, solved for many b.
 
-    Zero rows of C are pruned and a maximal independent subset of the
-    rest is kept (``dropped_rows`` names the others); redundant rows
-    leave the constrained minimizer unchanged.  The kept rows are
+    A maximal independent subset of the rows of C is kept
+    (``dropped_rows`` names the others, zero rows among them); redundant
+    rows leave the constrained minimizer unchanged.  The kept rows are
     equilibrated to unit norm, and the symmetric indefinite KKT block
     matrix ``kkt`` is built and factorized with a sparse LU.  scipy frees
     an LU's memory only on the thread that built it, so the thread that
@@ -266,19 +266,14 @@ class SaddleSystem:
     """
 
     def __init__(self, K, C):
-        C = C.tocsr()
         self.n, self.num_rows = K.shape[0], C.shape[0]
-        nonzero = np.flatnonzero(np.diff(C.indptr) > 0)
-        if len(nonzero) < self.num_rows:
-            C = C[nonzero]
         # normalizing a row does not depend on the other rows, so the kept
         # rows of the normalized C are the normalized kept rows
-        C, self.norms = _row_normalized(C)
-        kept = independent_constraint_rows(C)
-        self.rows = nonzero[kept]
-        self.dropped_rows = np.setdiff1d(nonzero, self.rows)
-        if len(kept) < len(nonzero):
-            C, self.norms = C[kept], self.norms[kept]
+        C, self.norms = _row_normalized(C.tocsr())
+        self.rows = independent_constraint_rows(C)
+        self.dropped_rows = np.setdiff1d(np.arange(self.num_rows), self.rows)
+        if len(self.rows) < self.num_rows:
+            C, self.norms = C[self.rows], self.norms[self.rows]
         self.m = len(self.rows)
         self.kkt = _kkt_matrix(K, C)
         try:
@@ -297,7 +292,7 @@ class SaddleSystem:
         SADDLE_RTOL * (||b|| + 1); the error for a miss gives the first
         failing column's residuals, named by ``labels[j]`` when given.
         Multipliers come back for every row of C in its original scaling,
-        zero for pruned and dropped rows.
+        zero for dropped rows.
         """
         sol = np.vstack([B, np.zeros((self.m, B.shape[1]))])
         # SuperLU rounds a block of four or more columns differently from

@@ -30,9 +30,6 @@ class Coefficient:
 
     alpha: float
     is_one: np.ndarray
-    kind: str = "custom"
-    seed: int | None = None
-    params: tuple = ()
     _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,6 +63,12 @@ def check_parameters(seed=0, smoothing_passes=6, one_fraction=0.5):
         raise ParameterError(f"one_fraction must be in [0, 1], got {one_fraction}")
 
 
+def check_stripes_resolution(h):
+    """Raise ``ParameterError`` unless stripes on fine mesh width h stay disjoint (h <= 1/64)."""
+    if h > 1.0 / 64.0 + 1e-15:
+        raise ParameterError(f"stripes need h <= 1/64 to stay disjoint, got h = {h}")
+
+
 def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -79,16 +82,13 @@ def gen_stripes(mesh: MeshHierarchy, alpha) -> Coefficient:
     every center-line node's incident elements flagged and the fifteen
     stripes disjoint.  Requires h <= 1/64.
     """
-    if mesh.h > 1.0 / 64.0 + 1e-15:
-        raise ParameterError(
-            f"stripes need h <= 1/64 to stay disjoint, got h = {mesh.h}"
-        )
+    check_stripes_resolution(mesh.h)
     half = max(STRIPE_HALF_WIDTH, mesh.h)
     bary_y = mesh.fine.barycenters()[:, 1]
     flags = np.zeros(mesh.fine.num_elements, dtype=bool)
     for j in range(1, 16):
         flags |= np.abs(bary_y - j * STRIPE_SPACING) <= half
-    return Coefficient(alpha, flags, kind="stripes")
+    return Coefficient(alpha, flags)
 
 
 def _balls_from_draws(mesh: MeshHierarchy, alpha, keep, radius) -> Coefficient:
@@ -104,7 +104,7 @@ def _balls_from_draws(mesh: MeshHierarchy, alpha, keep, radius) -> Coefficient:
             continue
         d2 = (bary[:, 0] - cx) ** 2 + (bary[:, 1] - cy) ** 2
         flags |= d2 <= r * r
-    return Coefficient(alpha, flags, kind="balls")
+    return Coefficient(alpha, flags)
 
 
 def gen_random_balls(mesh: MeshHierarchy, alpha, seed) -> Coefficient:
@@ -119,8 +119,7 @@ def gen_random_balls(mesh: MeshHierarchy, alpha, seed) -> Coefficient:
     u = _rng(seed).random(2 * n_nodes)
     keep = u[0::2] < 0.5
     radius = 1.0 / 128.0 + u[1::2] * (7.0 / 128.0)
-    coef = _balls_from_draws(mesh, alpha, keep, radius)
-    return Coefficient(alpha, coef.is_one, kind="balls", seed=seed)
+    return _balls_from_draws(mesh, alpha, keep, radius)
 
 
 def gen_random_field(
@@ -145,9 +144,7 @@ def gen_random_field(
     if m > 0:
         cell_flags[np.argpartition(cells.ravel(), m - 1)[:m]] = True
     flags = np.repeat(cell_flags, 2)
-    return Coefficient(
-        alpha, flags, kind="field", seed=seed, params=(smoothing_passes, one_fraction)
-    )
+    return Coefficient(alpha, flags)
 
 
 def connected_components(mesh: MeshHierarchy, coef: Coefficient, flag=True) -> ComponentLabeling:
@@ -214,4 +211,4 @@ def load_pgm(mesh: MeshHierarchy, path, alpha) -> Coefficient:
         raise ParameterError(f"{path}: truncated raster data")
     img = raster.reshape(height, width)[::-1]
     cell_flags = img.ravel() < 128
-    return Coefficient(alpha, np.repeat(cell_flags, 2), kind="pgm")
+    return Coefficient(alpha, np.repeat(cell_flags, 2))

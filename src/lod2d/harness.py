@@ -180,6 +180,8 @@ class ExperimentConfig:
         BoundarySpec.edges(*self.dirichlet)  # validates edge names
         coefmod.check_parameters(self.seed, self.smoothing_passes, self.one_fraction)
         ratio = level_ratio(self.coarse_level, self.fine_level)
+        if self.coefficient == "stripes":
+            coefmod.check_stripes_resolution(2.0**-self.fine_level)
         if self.delta is not None:
             delta_steps(self.delta, ratio)
         self.f.validate(2**self.fine_level, self.dirichlet)

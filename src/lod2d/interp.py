@@ -76,23 +76,21 @@ class InterpOperator:
         return R
 
 
-def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
-    """(Weighted) L2(sigma)-dual of the own node's hat against all hats meeting sigma.
+def dual_basis(mesh: MeshHierarchy, sigmas, own, weight=None):
+    """(Weighted) L2(sigma)-duals of own nodes' hats, one per ElementSet of ``sigmas``.
 
-    Solves M xi = e_1 with M the Gram matrix of the coarse hats on
-    sigma, own node ordered first; then psi = sum_k xi_k phi_k satisfies
-    int_sigma w psi phi_j = delta_1j.  Returns (support, xi, row) with
-    row = M_sigma (P psi) as a 1 x (fine nodes) CSR, the node variable
-    as a fine-node functional: row @ v = int_sigma w psi v.
+    For sigma and its node z of the array ``own``, solves M xi = e_1 with M
+    the Gram matrix of the coarse hats on sigma, z ordered first; then
+    psi = sum_k xi_k phi_k satisfies int_sigma w psi phi_j = delta_1j.
+    Returns lists of supports and xis, and one CSR of the rows
+    M_sigma (P psi), the node variables as fine-node functionals
+    (row @ v = int_sigma w psi v).
 
-    A list of sigmas with an array of own nodes gives lists of supports and
-    xis and one CSR of rows.  The sigmas are the blocks of one stacked region,
-    each with its own copy of its nodes and their coarse columns, so every
-    block sums the same terms in the same order as alone; the first failing node raises.
+    The sigmas are the blocks of one stacked region, each with its own copy
+    of its nodes and their coarse columns, so every block sums the same terms
+    in the same order as alone; the first failing node raises.
     """
-    single = np.ndim(own_node) == 0
-    sigmas, own = ([sigma], np.array([own_node])) if single else (sigma, np.asarray(own_node))
-    blocks = [s.indices if isinstance(s, ElementSet) else np.asarray(s) for s in sigmas]
+    blocks = [s.indices for s in sigmas]
     n_fine, n_coarse = mesh.fine.num_nodes, mesh.coarse.num_nodes
     keys, mass = assemble_mass(mesh, region=blocks, weight=weight)
     P = mesh.prolongation_matrix[keys % n_fine]
@@ -125,12 +123,12 @@ def dual_basis(mesh: MeshHierarchy, sigma, own_node, weight=None):
     nz = np.flatnonzero(vals)
     indptr = np.append(0, np.cumsum(np.bincount(keys[nz] // n_fine, minlength=len(own))))
     rows = sparse.csr_matrix((vals[nz], keys[nz] % n_fine, indptr), shape=(len(own), n_fine))
-    return (supports[0], xis[0], rows) if single else (supports, xis, rows)
+    return supports, xis, rows
 
 
 def kappa(mesh: MeshHierarchy, sigma, own_node):
     """Dual-basis stability constant kappa = H^{d/2} ||psi||_{L2(sigma)} (d = 2)."""
-    return float(np.sqrt(mesh.H**2 * dual_basis(mesh, sigma, own_node)[1][0]))
+    return float(np.sqrt(mesh.H**2 * dual_basis(mesh, [sigma], np.array([own_node]))[1][0][0]))
 
 
 def _node_variables(mesh, classes, sigmas, weight=None):

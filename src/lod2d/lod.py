@@ -77,22 +77,18 @@ def _resolve_k(mesh, k):
 
 def _patch_dofs(ctx, T, k):
     """Free fine DOFs (int32, read-only) of the k-layer patch of coarse element T,
-    cached on the mesh per (T, k), one array per distinct patch: the non-Dirichlet
-    nodes whose incident fine elements all lie in the patch (so Neumann boundary
-    nodes qualify)."""
+    cached on the mesh per (T, k): the non-Dirichlet nodes whose incident fine
+    elements all lie in the patch (so Neumann boundary nodes qualify)."""
     mesh = ctx.mesh
     with mesh.patch_lock:
         if (T, k) not in mesh.patch_dofs:
             patch = element_patch(mesh, ElementSet(mesh.coarse_level, [T]), k)
-            key = np.packbits(patch.mask(mesh.coarse.num_elements)).tobytes()
-            if key not in mesh.patch_dofs:
-                verts = mesh.fine.elements[mesh.fine_elements_of_coarse(patch.indices)]
-                inside = np.bincount(verts.ravel(), minlength=mesh.fine.num_nodes)
-                free = (inside == np.diff(mesh.fine.node_to_elements[0])) & (inside > 0)
-                free[ctx.constrained_fine] = False
-                mesh.patch_dofs[key] = np.flatnonzero(free).astype(np.int32)
-                mesh.patch_dofs[key].flags.writeable = False
-            mesh.patch_dofs[(T, k)] = mesh.patch_dofs[key]
+            verts = mesh.fine.elements[mesh.fine_elements_of_coarse(patch.indices)]
+            inside = np.bincount(verts.ravel(), minlength=mesh.fine.num_nodes)
+            free = (inside == np.diff(mesh.fine.node_to_elements[0])) & (inside > 0)
+            free[ctx.constrained_fine] = False
+            dofs = mesh.patch_dofs[(T, k)] = np.flatnonzero(free).astype(np.int32)
+            dofs.flags.writeable = False
         return mesh.patch_dofs[(T, k)]
 
 
@@ -233,8 +229,6 @@ class CorrectorSet:
     """
 
     k: int
-    kind: str
-    free_nodes: np.ndarray
     matrix: sparse.csr_matrix  # (n_free, n_fine); row i holds Q_k phi_i
     factorizations: int
     element_solves: int
@@ -323,7 +317,7 @@ def compute_correctors(ctx, op, k, f_spec=None):
     u_f = np.zeros(n_fine)
     for idx in sorted(u_parts):
         u_f[work[idx][2]] += u_parts[idx]
-    return CorrectorSet(k, op.kind, free, Q, len(groups), len(work), dropped_rows), u_f
+    return CorrectorSet(k, Q, len(groups), len(work), dropped_rows), u_f
 
 
 @dataclass

@@ -212,7 +212,7 @@ class MeshHierarchy:
         self.fine = _Level(fine_level)
         self.H = self.coarse.h
         self.h = self.fine.h
-        # lod's patch DOFs by (T, k) and by patch; the lock also guards lod's caches on
+        # lod's patch DOFs by (T, k); the lock also guards lod's caches on
         # the contexts and operators of this mesh
         self.patch_dofs, self.patch_lock = {}, threading.Lock()
 

@@ -34,9 +34,9 @@ class ConstraintDegeneracyError(SolverError):
 def solve_saddle(K, C, b):
     """Solve the KKT system K u + C^T lam = b, C u = 0 for one right-hand side.
 
-    Zero constraint rows are pruned and their multipliers come back as
-    zero.  Linearly dependent rows raise ConstraintDegeneracyError
-    naming the rows a maximal independent subset leaves out.
+    Linearly dependent rows, zero rows among them, raise
+    ConstraintDegeneracyError naming the rows a maximal independent
+    subset leaves out.
     """
     system = SaddleSystem(K, C)
     if len(system.dropped_rows):
@@ -362,16 +362,22 @@ def test_saddle_empty_constraints():
     assert lam.shape == (0,)
 
 
-def test_saddle_zero_rows_pruned():
+def test_saddle_zero_rows_dropped():
+    """A zero row is a dependent row: dropped with multiplier 0, and the
+    solution is the one of the system without it, bit for bit."""
     n = 6
     K = sparse.identity(n, format="csr")
     C = sparse.csr_matrix(np.vstack([np.zeros(n), np.ones(n), np.zeros(n)]))
-    b = np.zeros(n)
+    b = np.zeros((n, 1))
     b[0] = 1.0
-    u, lam = solve_saddle(K, C, b)
-    assert lam.shape == (3,)
-    assert lam[0] == 0.0 and lam[2] == 0.0
-    assert abs(lam[1] - 1.0 / n) < 1e-12
+    system = SaddleSystem(K, C)
+    assert np.array_equal(system.rows, [1]) and np.array_equal(system.dropped_rows, [0, 2])
+    u, lam = system.solve(b)
+    u_ref, lam_ref = SaddleSystem(K, C[[1]]).solve(b)
+    assert np.array_equal(u, u_ref)
+    assert lam.shape == (3, 1)
+    assert lam[0, 0] == 0.0 and lam[2, 0] == 0.0 and lam[1, 0] == lam_ref[0, 0]
+    assert abs(lam[1, 0] - 1.0 / n) < 1e-12
 
 
 def test_saddle_against_dense_kkt_oracle():

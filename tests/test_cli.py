@@ -212,6 +212,7 @@ def test_python_dash_m_entry_points(tmp_path):
         "stripes-seed-18446744073709551616",
         "stripes-smoothing_passes--3",
         "stripes-one_fraction-7",
+        "stripes-unresolved",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
@@ -288,6 +289,9 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         paths = {"csv": f"{tmp_path}/d.csv", "svg_prefix": f"{tmp_path}/p_", "cache_dir": f"{tmp_path}/c"}
         paths[key] += "\0x"
         argv = ["run", str(write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in paths.items())))]
+    elif case == "stripes-unresolved":
+        base = TINY.replace("field", "stripes").replace("fine_level = 4", "fine_level = 5")
+        argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}/out/d.csv\n", base=base))]
     elif case.startswith("stripes-"):
         # every kind's config checks the generators' parameters, used or not
         _, key, value = case.split("-", 2)
@@ -307,6 +311,8 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
     assert err.startswith("error:")
     if case.startswith("nul-byte-"):
         assert f"config key {key!r} contains a NUL byte" in err
+    if case == "stripes-unresolved":
+        assert "stripes need h <= 1/64" in err
     if case.startswith("bad-delta-"):
         assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()

@@ -144,7 +144,7 @@ def test_dual_weight_scaling_full_element(mesh17):
     # H^2 * xi_1 = 18 independent of H
     sigma = ElementSet(7, mesh17.fine_elements_of_coarse([0]))
     own = mesh17.coarse.node_index(0, 0)
-    _, xi, _ = dual_basis(mesh17, sigma, own)
+    xi = dual_basis(mesh17, [sigma], np.array([own]))[1][0]
     assert mesh17.H**2 * xi[0] == pytest.approx(18.0, rel=1e-12)
 
 
@@ -159,7 +159,7 @@ def test_kappa_scaled_corner_triangle(mesh17, frac):
 def test_kappa_corner_quarter_dual_weight(mesh17):
     sigma = corner_triangle_sigma(mesh17, 0, Fraction(1, 4))
     own = mesh17.coarse.node_index(0, 0)
-    _, xi, _ = dual_basis(mesh17, sigma, own)
+    xi = dual_basis(mesh17, [sigma], np.array([own]))[1][0]
     assert mesh17.H**2 * xi[0] == pytest.approx(288.0, rel=1e-10)
 
 
@@ -215,7 +215,7 @@ def test_kappa_extension_monotonicity(mesh36):
 def test_dual_basis_duality_on_node_patch(mesh36):
     z = mesh36.coarse.node_index(4, 3)
     sigma = mesh36.fine_set(node_patch(mesh36, z))
-    support, xi, _ = dual_basis(mesh36, sigma, z)
+    (support,), (xi,), _ = dual_basis(mesh36, [sigma], np.array([z]))
     # N(phi_own) = 1, N(phi_neighbor) = 0: integrate psi against each hat
     nodes, M = assemble_mass(mesh36, region=sigma.indices)
     P = mesh36.prolongation_matrix[nodes]
@@ -227,7 +227,7 @@ def test_dual_basis_duality_on_node_patch(mesh36):
 
 def test_dual_basis_empty_sigma(mesh36):
     with pytest.raises(DegenerateSigmaError):
-        dual_basis(mesh36, ElementSet(6, []), 0)
+        dual_basis(mesh36, [ElementSet(6, [])], np.array([0]))
 
 
 def test_dual_basis_disjoint_sigma(mesh36):
@@ -235,7 +235,7 @@ def test_dual_basis_disjoint_sigma(mesh36):
     z = mesh36.coarse.node_index(1, 1)
     far = mesh36.fine_elements_of_coarse([mesh36.coarse.num_elements - 1])
     with pytest.raises(DegenerateSigmaError):
-        dual_basis(mesh36, ElementSet(6, far), z)
+        dual_basis(mesh36, [ElementSet(6, far)], np.array([z]))
 
 
 def test_dual_basis_batch_raises_for_first_failing_node(mesh36):
@@ -244,13 +244,13 @@ def test_dual_basis_batch_raises_for_first_failing_node(mesh36):
     far = ElementSet(6, mesh36.fine_elements_of_coarse([mesh36.coarse.num_elements - 1]))
     empty = ElementSet(6, [])
     with pytest.raises(DegenerateSigmaError, match="^integration domain is empty$"):
-        dual_basis(mesh36, [good, empty, far], [z, z, z])
+        dual_basis(mesh36, [good, empty, far], np.array([z, z, z]))
     with pytest.raises(DegenerateSigmaError, match=f"^own node {z} has no hat mass"):
-        dual_basis(mesh36, [good, far, empty], [z, z, z])
+        dual_basis(mesh36, [good, far, empty], np.array([z, z, z]))
     supports, xis, rows = dual_basis(mesh36, [good, good], np.array([z, z]))
     assert rows.shape == (2, mesh36.fine.num_nodes)
     assert np.array_equal(rows[0].toarray(), rows[1].toarray())
-    assert np.array_equal(xis[0], dual_basis(mesh36, good, z)[1])
+    assert np.array_equal(xis[0], dual_basis(mesh36, [good], np.array([z]))[1][0])
 
 
 def independent_flood(mesh, allowed, seeds):
