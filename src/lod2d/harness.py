@@ -284,7 +284,6 @@ def _cached_reference(config, ctx, alpha):
     if not config.cache_dir:
         return reference_solution(ctx, config.f)
     cache = Path(config.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"ref_{_reference_cache_key(config, alpha)}.npy"
     try:
         with open(path, "rb") as fh:
@@ -301,9 +300,15 @@ def _cached_reference(config, ctx, alpha):
 
 
 def _prepare_outputs(config: ExperimentConfig):
-    """Create the output directories; a csv path that is a directory is an error."""
+    """Create the output directories; a csv path that is a directory, or a cache_dir
+    that is, or lies under, a file, is an error."""
     if config.csv and Path(config.csv).is_dir():
         raise ParameterError(f"csv path {config.csv} is a directory")
+    if config.cache_dir:
+        try:
+            Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cache_dir {config.cache_dir} is not a usable directory: {exc}") from exc
     for path in (config.csv, config.svg_prefix and f"{config.svg_prefix}.svg"):
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ solution exactly (up to solver tolerance).
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -239,11 +240,14 @@ def compute_correctors(ctx, op, k, f_spec=None):
     """All node correctors, and the summed RHS correction of ``f_spec`` (zero without).
 
     Pass 1 visits the coarse elements with work (a free vertex, or an
-    element load nonzero on a free node) and keys each by the pair of
-    digests of its patch system's stiffness and constraint halves
-    (``_system_key``); it does every cache access.  Pass 2 groups them by
-    key, and one helper of the ``LOD_THREADS`` helper pool runs each
-    group, whatever the worker count: it cuts and factorizes the group's
+    element load nonzero on a free node), pre-keys each by the digest of
+    the stiffness diagonal on its patch DOFs, and keys those whose pre-key
+    another shares by the pair of digests of its patch system's stiffness
+    and constraint halves (``_system_key``); it does every cache access.
+    Pass 2 groups the keyed elements by key, in (key, element) order, then
+    takes each other element as a group of its own, in element order, and
+    one helper of the ``LOD_THREADS`` helper pool runs each group,
+    whatever the worker count: it cuts and factorizes the group's
     ``SaddleSystem``, solves the elements' right-hand sides in blocks of
     ``_CHUNK`` elements (``_block_solve``) into their own slots of Q and
     drops the LU.  The solutions are summed in ascending element order,
@@ -261,7 +265,8 @@ def compute_correctors(ctx, op, k, f_spec=None):
     row_of = {int(z): idx for idx, z in enumerate(free)}
     n_fine = mesh.fine.num_nodes
 
-    work = []  # (system key, T, dofs, free vertices, T's free nodes, K_T @ P rows, load or None)
+    diag = ctx.stiffness.diagonal()
+    work = []  # (pre-key, T, dofs, free vertices, T's free nodes, K_T @ P rows, load or None)
     for T, (nodes, KP, load) in enumerate(_element_blocks(ctx, range(mesh.coarse.num_elements), f_spec)):
         verts = [int(v) for v in mesh.coarse.elements[T] if int(v) in row_of]
         # a load on Dirichlet nodes only would give an all-zero right-hand side
@@ -270,7 +275,17 @@ def compute_correctors(ctx, op, k, f_spec=None):
         if not verts and load is None:
             continue
         dofs = _patch_dofs(ctx, T, k)
-        work.append((_system_key(ctx, op, T, k, dofs), T, dofs, verts, nodes, KP, load))
+        work.append((hashlib.sha256(diag[dofs]).digest(), T, dofs, verts, nodes, KP, load))
+
+    # diag(K)[dofs] is the diagonal of the cut K[dofs][:, dofs], so equal systems have
+    # equal pre-keys: an element whose pre-key no other shares has a system of its own
+    # and needs no cut here; its group goes after the keyed ones, an order that kept the
+    # stripes sweep's peak RSS nearer the parent's than singletons first (README)
+    shared = collections.Counter(pre for pre, *_ in work)
+    keyed = sorted((_system_key(ctx, op, T, k, dofs), T, idx)
+                   for idx, (pre, T, dofs, *_) in enumerate(work) if shared[pre] > 1)
+    groups = [[idx for *_, idx in g] for _, g in itertools.groupby(keyed, key=lambda x: x[0])]
+    groups += [[idx] for idx, (pre, *_) in enumerate(work) if shared[pre] == 1]
 
     # Q's entries go in element order, vertex by vertex, into one block
     sizes = [len(verts) * len(dofs) for _, _, dofs, verts, *_ in work]
@@ -300,8 +315,6 @@ def compute_correctors(ctx, op, k, f_spec=None):
         finally:
             system.release()  # scipy frees an LU only on the thread that built it
 
-    order = sorted(range(len(work)), key=lambda i: work[i][:2])
-    groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: work[i][0])]
     futures = [pool.submit(run, group) for group in groups]
     try:
         wait(futures, return_when=FIRST_EXCEPTION)  # one wake-up for the whole pass

@@ -213,6 +213,8 @@ def test_python_dash_m_entry_points(tmp_path):
         "stripes-smoothing_passes--3",
         "stripes-one_fraction-7",
         "stripes-unresolved",
+        "cache_dir-is-a-file",
+        "cache_dir-under-a-file",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
@@ -299,6 +301,10 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         base = base.replace("fine_level = 4", "fine_level = 6")  # stripes need h <= 1/64
         cfg = write_config(tmp_path, f"{key} = {value}\ncsv = {tmp_path}/out/d.csv\n", base=base)
         argv = ["run", str(cfg)]
+    elif case.startswith("cache_dir-"):
+        (tmp_path / "notadir").write_text("")
+        cache = tmp_path / "notadir" / ("sub" if case.endswith("under-a-file") else "")
+        argv = ["run", str(write_config(tmp_path, f"csv = {tmp_path}/out/d.csv\ncache_dir = {cache}\n"))]
     elif case == "output-under-a-file":
         (tmp_path / "file").write_text("")
         argv = ["kappa", str(cfg), str(tmp_path / "file" / "k.csv")]
@@ -317,7 +323,9 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         assert err.count(f"delta={delta} is not representable as m*h/H") == 3
     assert not (tmp_path / "d.csv").exists()
     assert cells == []  # no sweep cell ran
-    if case.endswith("-load") or case.startswith("stripes-"):
+    if case.startswith("cache_dir-"):
+        assert f"cache_dir {cache} is not a usable directory" in err
+    if case.endswith("-load") or case.startswith(("stripes-", "cache_dir-")):
         assert meshes == []  # rejected with the config, before the mesh is built
         assert not (tmp_path / "out").exists()
 

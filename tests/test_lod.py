@@ -274,6 +274,12 @@ def test_point_reflection_and_load_scaling(stripes_l3):
         assert close(tripled, 3 * solve_multiscale(ctx, op, 1, one).u_total), kind
 
 
+def one_group_per_element(monkeypatch):
+    """Key every patch system by its own element, as a pair of bytes like a real
+    key, so that no two elements share a factorization."""
+    monkeypatch.setattr(lod, "_system_key", lambda ctx, op, T, k, dofs: (T.to_bytes(4, "big"), b""))
+
+
 @pytest.mark.parametrize("kind,k", [("IH", 1), ("IH", 2), ("SZ", 1), ("SZ", 2)])
 def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
     """Sharing one factorization among patches with equal local systems
@@ -284,8 +290,7 @@ def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
     grouped, u_grouped = compute_correctors(ctx, op, k, f_spec=f)
     assert grouped.factorizations < grouped.element_solves
 
-    unique = itertools.count()
-    monkeypatch.setattr(lod, "_system_key", lambda ctx, op, T, k, dofs: next(unique))
+    one_group_per_element(monkeypatch)
     single, u_single = compute_correctors(ctx, op, k, f_spec=f)
     assert single.factorizations == single.element_solves == grouped.element_solves
     for attr in ("data", "indices", "indptr"):
@@ -293,21 +298,15 @@ def test_grouped_factorizations_bit_identical(stripes_l3, monkeypatch, kind, k):
     assert np.array_equal(u_grouped, u_single)
 
 
-def test_factorization_counters(small, stripes_l3, monkeypatch):
+def test_factorization_counters(small, stripes_l3):
     mesh, coef, ctx = stripes_l3
     op = build_operator("IH", mesh, coef)
     f = LoadSpec.constant(1.0)
-    keys = []
-    system_key = lod._system_key
-
-    def recording(*args):
-        keys.append(system_key(*args))
-        return keys[-1]
-
-    monkeypatch.setattr(lod, "_system_key", recording)
     correctors, _ = compute_correctors(ctx, op, 1, f_spec=f)
-    assert correctors.element_solves == len(keys) == mesh.coarse.num_elements
-    assert correctors.factorizations == len(set(keys)) < mesh.coarse.num_elements
+    # the constant load puts work on every element
+    assert correctors.element_solves == mesh.coarse.num_elements
+    keys = {lod._system_key(ctx, op, T, 1, lod._patch_dofs(ctx, T, 1)) for T in range(mesh.coarse.num_elements)}
+    assert correctors.factorizations == len(keys) < mesh.coarse.num_elements
 
     _, _, ctx_balls, op_balls = small
     sol = solve_multiscale(ctx_balls, op_balls, 1, f)
@@ -425,20 +424,31 @@ def test_patch_caches_build_each_entry_once_under_threads(monkeypatch):
         assert all(x is y for a, b in zip(result, results[0]) for x, y in zip(a, b))
 
 
+def counting_cuts(monkeypatch):
+    """Count ``_stiffness_cut`` and ``_constraint_cut`` calls by pass: pass 1 on the
+    calling thread, pass 2 on the helpers."""
+    caller = threading.get_ident()
+    calls = {(name, p): 0 for name in ("_stiffness_cut", "_constraint_cut") for p in (1, 2)}
+    lock = threading.Lock()
+    for name in ("_stiffness_cut", "_constraint_cut"):
+        def counting(*args, _name=name, _fn=getattr(lod, name)):
+            with lock:
+                calls[(_name, 1 if threading.get_ident() == caller else 2)] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lod, name, counting)
+    return calls
+
+
 def test_pass_one_cuts_each_half_once_per_owner(monkeypatch):
     """Over a sweep of two alphas and two operators, each shared by both
     alphas as run_experiment shares them, pass 1 cuts a patch's stiffness half
-    once per (alpha, T, k) and its constraint half once per (operator, T, k);
-    pass 2 cuts both once per factorization."""
+    at most once per (alpha, T, k) and its constraint half at most once per
+    (operator, T, k), each for a digest it keeps; pass 2 cuts both exactly once
+    per factorization."""
     mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
     contexts = [BilinearFormContext(mesh, gen_stripes(mesh, alpha)) for alpha in (1e-1, 1e-3)]
     ops = [build_operator(kind, mesh, contexts[0].coef) for kind in ("IH", "SZ")]
-    calls = {"_stiffness_cut": 0, "_constraint_cut": 0}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(lod, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(lod, name, counting)
+    calls = counting_cuts(monkeypatch)
     f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.75)
     factorizations, solves = 0, {}
     for ctx, op, k in itertools.product(contexts, ops, (1, 2)):
@@ -446,10 +456,52 @@ def test_pass_one_cuts_each_half_once_per_owner(monkeypatch):
         factorizations += correctors.factorizations
         solves[k] = correctors.element_solves  # the same elements in every cell
     per_owner = 2 * (solves[1] + solves[2])  # two alphas, or two operators, times (T, k)
-    assert calls["_stiffness_cut"] - factorizations == per_owner
-    assert calls["_constraint_cut"] - factorizations == per_owner
-    assert sum(len(ctx.stiffness_digests) for ctx in contexts) == per_owner
-    assert sum(len(op.constraint_digests) for op in ops) == per_owner
+    assert calls[("_stiffness_cut", 2)] == calls[("_constraint_cut", 2)] == factorizations
+    assert 0 < calls[("_stiffness_cut", 1)] == sum(len(ctx.stiffness_digests) for ctx in contexts) <= per_owner
+    assert 0 < calls[("_constraint_cut", 1)] == sum(len(op.constraint_digests) for op in ops) <= per_owner
+
+
+@pytest.mark.parametrize("kind,k", [("IH", 1), ("IH", 2), ("SZ", 1), ("SZ", 2)])
+@pytest.mark.parametrize("coefficient", ["stripes", "balls", "field"])
+def test_grouping_matches_full_keys(monkeypatch, coefficient, kind, k):
+    """The oracle for pass 1's grouping: one factorization per distinct full key
+    over the work elements, and results equal to one group per element.  Equal
+    systems have equal stiffness diagonals on their DOFs, so the pre-key misses no
+    group; stripes repeat those diagonals in systems that differ, so a shared
+    pre-key still needs the full key; and on a random field, where every
+    diagonal differs, pass 1 cuts nothing."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
+            "balls": lambda: gen_random_balls(mesh, 1e-3, 2),
+            "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
+    ctx = BilinearFormContext(mesh, coef)
+    op = build_operator(kind, mesh, coef)
+    f = LoadSpec.constant(1.0)
+    with monkeypatch.context() as m:
+        calls = counting_cuts(m)
+        grouped = corrector_arrays(*compute_correctors(ctx, op, k, f_spec=f))
+    factorizations, element_solves = grouped[4][:2]
+    assert element_solves == mesh.coarse.num_elements  # the constant load puts work on every element
+    diag = ctx.stiffness.diagonal()
+    full, pre = set(), set()
+    for T in range(mesh.coarse.num_elements):
+        dofs = lod._patch_dofs(ctx, T, k)
+        full.add(lod._system_key(ctx, op, T, k, dofs))
+        pre.add(diag[dofs].tobytes())
+    assert factorizations == len(full)
+    if coefficient == "stripes":
+        assert len(pre) < len(full) < mesh.coarse.num_elements
+        if k == 1:
+            assert (len(pre), len(full)) == (23, 46)
+    if coefficient == "field":
+        assert len(pre) == len(full) == mesh.coarse.num_elements
+        assert calls[("_stiffness_cut", 1)] == calls[("_constraint_cut", 1)] == 0
+        assert calls[("_stiffness_cut", 2)] == calls[("_constraint_cut", 2)] == factorizations
+
+    one_group_per_element(monkeypatch)
+    single = corrector_arrays(*compute_correctors(ctx, op, k, f_spec=f))
+    assert single[4][0] == element_solves
+    assert_arrays_equal(single[:4], grouped[:4])
 
 
 def test_load_on_dirichlet_nodes_only_is_not_solved():
