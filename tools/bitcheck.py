@@ -125,12 +125,9 @@ def solve_arrays(lod, ctx, op, k, load_name):
         return made[-1]
 
     ctor, args = LOADS[load_name]
-    lod.compute_correctors = recording
-    try:
+    with mock.patch.object(lod, "compute_correctors", recording):
         sol = lod.solve_multiscale(ctx, op, k, getattr(LoadSpec, ctor)(*args),
                                    rhs_correction=load_name != "none")
-    finally:
-        lod.compute_correctors = compute
     (correctors, u_f), = made
     meta = sol.metadata
     counters = np.array([meta["factorizations"], meta["element_solves"], meta["dropped_rows"]])
@@ -154,8 +151,8 @@ def run_family(rec, prefix, levels, coef_kind, boundary, kinds, ks, loads):
     import lod2d.lod as lod
     from lod2d import BilinearFormContext, BoundarySpec, build_hierarchy, build_operator
 
-    def name(kind, k, load):
-        return f"{prefix}-{kind}-k{'sat' if k is None else k}-{load}"
+    def name(kind, k, load=None):
+        return f"{prefix}-{kind}-k{'sat' if k is None else k}" + (f"-{load}" if load else "")
 
     if not any(rec.wants(name(*c)) for c in itertools.product(kinds, ks, loads)):
         return
@@ -172,8 +169,7 @@ def run_family(rec, prefix, levels, coef_kind, boundary, kinds, ks, loads):
         T = next(T for T in range(mesh.coarse.num_elements) if free & set(mesh.coarse.elements[T].tolist()))
         i = min(free & set(mesh.coarse.elements[T].tolist()))
         for k in dict.fromkeys(k for k, _ in selected):
-            rec.record(f"{prefix}-{kind}-k{'sat' if k is None else k}",
-                       {"element_corrector": lod.element_corrector(ctx, op, i, T, k)})
+            rec.record(name(kind, k), {"element_corrector": lod.element_corrector(ctx, op, i, T, k)})
         for k, load in selected:
             rec.record(name(kind, k, load), solve_arrays(lod, ctx, op, k, load))
 
