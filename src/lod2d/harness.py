@@ -464,7 +464,8 @@ def _render_panel(operator, rows):
     out.append(
         f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x0:.1f}" y2="{y1:.1f}" stroke="black"/>'
     )
-    for k in range(int(k_lo), int(k_hi) + 1, max(1, round((k_hi - k_lo) / 8))):
+    # Fraction steps any integer k range; float division overflows past 1e308
+    for k in range(int(k_lo), int(k_hi) + 1, max(1, round(Fraction(k_hi - k_lo, 8)))):
         x, _ = _svg_coords(k, y_lo, (k_lo, k_hi), (y_lo, y_hi))
         out.append(f'<line x1="{x:.1f}" y1="{y0:.1f}" x2="{x:.1f}" y2="{y0 + 5:.1f}" stroke="black"/>')
         out.append(

@@ -71,7 +71,8 @@ def saturation_k(mesh):
 def _resolve_k(mesh, k):
     if k is None or k == np.inf:
         return saturation_k(mesh)
-    if not float(k).is_integer() or k < 1:
+    # int(k) == k compares exactly: no float() of an integer too large for one
+    if not (k >= 1 and int(k) == k):
         raise ParameterError(f"patch size k must be an integer >= 1, got {k}")
     return min(int(k), saturation_k(mesh))
 
@@ -250,9 +251,9 @@ def compute_correctors(ctx, op, k, f_spec=None):
     whatever the worker count: it cuts and factorizes the group's
     ``SaddleSystem``, solves the elements' right-hand sides in blocks of
     ``_CHUNK`` elements (``_block_solve``) into their own slots of Q and
-    drops the LU.  The solutions are summed in ascending element order,
-    as a one-by-one traversal sums them, so the results depend neither
-    on the grouping nor on the helpers.  The call waits on the runs'
+    drops the LU.  Q gets the arrays of a one-by-one traversal's COO
+    triplets, and u_f its sum in ascending element order, so the results
+    depend neither on the grouping nor on the helpers.  The call waits on the runs'
     futures until all are done or one has failed; then, and also when
     the caller is interrupted, it cancels every future not yet started,
     waits for the running ones to drop their LUs, and raises the first
@@ -287,12 +288,18 @@ def compute_correctors(ctx, op, k, f_spec=None):
     groups = [[idx for *_, idx in g] for _, g in itertools.groupby(keyed, key=lambda x: x[0])]
     groups += [[idx] for idx, (pre, *_) in enumerate(work) if shared[pre] == 1]
 
-    # Q's entries go in element order, vertex by vertex, into one block
-    sizes = [len(verts) * len(dofs) for _, _, dofs, verts, *_ in work]
-    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    q_rows = np.empty(offsets[-1], dtype=np.int32)
-    q_cols = np.empty(offsets[-1], dtype=np.int32)
-    q_vals = np.empty(offsets[-1])
+    # Q's CSR slots: row r holds, in work order, the patch DOFs of each element with
+    # r's node as a vertex, the order in which scipy buckets COO triplets by row
+    rows = np.array([row_of[v] for _, _, _, verts, *_ in work for v in verts], dtype=np.int64)
+    lens = np.array([len(dofs) for _, _, dofs, verts, *_ in work for _ in verts], dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    ends = np.cumsum(lens[order])
+    starts = np.empty_like(ends)
+    starts[order] = ends - lens[order]
+    indptr = np.concatenate([[0], ends])[np.searchsorted(rows[order], np.arange(len(free) + 1))]
+    starts = np.split(starts, np.cumsum([len(verts) for _, _, _, verts, *_ in work], dtype=np.int64)[:-1])
+    q_cols = np.empty(indptr[-1], dtype=np.int32)
+    q_vals = np.empty(indptr[-1])
     u_parts = {}  # work index -> solution of its load on its dofs
 
     def run(group):
@@ -304,11 +311,10 @@ def compute_correctors(ctx, op, k, f_spec=None):
             for start in range(0, len(group), _CHUNK):
                 chunk = group[start : start + _CHUNK]
                 for idx, U in zip(chunk, _block_solve(ctx, system, [work[i] for i in chunk])):
-                    _, _, dofs, verts, _, _, load = work[idx]
-                    a, b = offsets[idx], offsets[idx + 1]
-                    q_rows[a:b] = np.repeat([row_of[v] for v in verts], len(dofs))
-                    q_cols[a:b] = np.tile(dofs, len(verts))
-                    q_vals[a:b] = U[:, : len(verts)].T.ravel()
+                    _, _, dofs, _, _, _, load = work[idx]
+                    for j, a in enumerate(starts[idx]):
+                        q_cols[a : a + len(dofs)] = dofs
+                        q_vals[a : a + len(dofs)] = U[:, j]
                     if load is not None:
                         u_parts[idx] = U[:, -1].copy()  # a view would keep the whole block alive
             return len(system.dropped_rows)
@@ -326,7 +332,10 @@ def compute_correctors(ctx, op, k, f_spec=None):
     # had only just taken one off it: skip the cancelled and raise the first error
     dropped_rows = sum(f.result() for f in futures if not f.cancelled())
 
-    Q = sparse.csr_matrix((q_vals, (q_rows, q_cols)), shape=(len(free), n_fine))
+    # scipy's sort of each row is not stable: the sum is bit-equal to a COO build's only
+    # because it runs on the very arrays that build's conversion gives it
+    Q = sparse.csr_matrix((q_vals, q_cols, indptr), shape=(len(free), n_fine))
+    Q.sum_duplicates()
     u_f = np.zeros(n_fine)
     for idx in sorted(u_parts):
         u_f[work[idx][2]] += u_parts[idx]

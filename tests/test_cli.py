@@ -330,6 +330,20 @@ def test_malformed_input_exits_one(tmp_path, capsys, monkeypatch, case):
         assert not (tmp_path / "out").exists()
 
 
+def test_k_too_large_for_a_float_saturates(tmp_path):
+    """Any k above saturation_k (8 at L = 2) saturates, also one no float can hold:
+    its rows equal the k = 8 rows, and the SVG panel steps its k axis."""
+    huge = 10**400
+    cfg = write_config(tmp_path, f"csv = {tmp_path}/out/res.csv\nsvg_prefix = {tmp_path}/out/plot_\n",
+                       base=TINY.replace("k = 1,8", f"k = 8,{huge}"))
+    assert cli(["run", str(cfg)]) == 0
+    rows = read_csv(tmp_path / "out" / "res.csv")
+    assert len(rows) == 8 and {r.status for r in rows} == {"ok"}
+    errors = {(r.operator, r.alpha, r.k): r.rel_energy_error for r in rows}
+    assert all(errors[(op, alpha, huge)] == err for (op, alpha, k), err in errors.items() if k == 8)
+    assert f">{8 + (huge - 8) // 8}<" in (tmp_path / "out" / "plot_SZ.svg").read_text()  # second tick
+
+
 def test_decay_honours_config_delta(tmp_path, capsys):
     # delta = 3/8 is not representable at H/h = 4, so the config is rejected
     args = ["--operator", "IH", "--k-max", "1"]

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import lod2d.assembly as assembly
 import lod2d.lod as lod
@@ -654,6 +656,89 @@ def test_results_do_not_depend_on_helper_count(monkeypatch, coefficient, dirichl
             assert results[0][3].any()
             for got in results[1:]:
                 assert_arrays_equal(got, results[0])
+
+
+def recording_solutions(monkeypatch):
+    """Record, per coarse element solved, its patch DOFs, free vertices and block
+    solution, from whichever helper solves it."""
+    solved, block_solve = {}, lod._block_solve
+
+    def recording(ctx, system, items):
+        Us = block_solve(ctx, system, items)
+        for (_, T, dofs, verts, *_), U in zip(items, Us):
+            solved[T] = (dofs, verts, U)
+        return Us
+
+    monkeypatch.setattr(lod, "_block_solve", recording)
+    return solved
+
+
+def coo_triplet_build(op, n_fine, solved):
+    """Q from COO triplets, element by element in element order and vertex by vertex
+    (int32 rows and columns, float64 values), converted by scipy: the reference for
+    the CSR slots that ``compute_correctors`` writes."""
+    row_of = {int(z): r for r, z in enumerate(op.free_nodes)}
+    parts = [(np.repeat([row_of[v] for v in verts], len(dofs)).astype(np.int32),
+              np.tile(dofs, len(verts)), U[:, : len(verts)].T.ravel())
+             for _, (dofs, verts, U) in sorted(solved.items())]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(op.free_nodes), n_fine))
+
+
+@pytest.mark.parametrize("dirichlet", [("left", "right", "bottom", "top"), ("left", "bottom")])
+@pytest.mark.parametrize("coefficient", ["stripes", "balls", "field"])
+def test_q_slots_equal_the_coo_triplet_build(monkeypatch, coefficient, dirichlet):
+    """Q's data, indices and indptr, dtypes included, equal scipy's conversion of the
+    per-element COO triplets, with one helper and with two, without a load and with
+    one that also loads a corner element with no free vertex: the slots hold the
+    arrays that conversion buckets by row, and scipy sorts and sums both alike."""
+    levels = (3, 6) if coefficient == "stripes" else (2, 5)  # stripes need h <= 1/64
+    mesh = build_hierarchy(*levels, BoundarySpec.edges(*dirichlet))
+    coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
+            "balls": lambda: gen_random_balls(mesh, 1e-3, 2),
+            "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
+    ctx = BilinearFormContext(mesh, coef)
+    solved = recording_solutions(monkeypatch)
+    usable_cpus(monkeypatch, 2)
+    rect = LoadSpec.rectangle(0.0, 0.5, 0.0, 0.5)
+    for kind in ("IH", "SZ", "AprojQM"):
+        op = build_operator(kind, mesh, coef)
+        for k, f, helpers in itertools.product((1, 2, None), (None, rect), ("1", "2")):
+            monkeypatch.setenv("LOD_THREADS", helpers)
+            solved.clear()
+            Q = compute_correctors(ctx, op, k, f_spec=f)[0].matrix
+            ref = coo_triplet_build(op, mesh.fine.num_nodes, solved)
+            assert_arrays_equal([Q.data, Q.indices, Q.indptr], [ref.data, ref.indices, ref.indptr])
+            assert Q.nnz < sum(len(dofs) * len(verts) for dofs, verts, _ in solved.values())
+            assert (f is rect) == any(not verts for _, verts, _ in solved.values())
+
+
+def test_corrector_call_peak_memory_per_q_slot(monkeypatch):
+    """One warm call's traced peak stays below 28 bytes per Q slot (a solution entry
+    of one element for one vertex, before duplicates are summed).  28 B is what
+    building Q from COO triplets held at once: an int32 row, an int32 column and a
+    float64 value per slot, and scipy's CSR copy of the columns and values.  Writing
+    the CSR slots directly holds 12 B per slot; the whole call measured about 21 B
+    per slot this way, and about 37 B with the triplets."""
+    mesh = build_hierarchy(4, 6, BoundarySpec.all_edges())
+    coef = gen_random_field(mesh, 1e-3, 1)
+    ctx = BilinearFormContext(mesh, coef)
+    op = build_operator("IH", mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("LOD_THREADS", "2")  # each helper's blocks and LU inputs count too
+    compute_correctors(ctx, op, 2, f)  # warm: patch DOFs cached, helpers started
+    tracemalloc.start()
+    try:
+        Q = compute_correctors(ctx, op, 2, f)[0].matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    free = set(op.free_nodes.tolist())
+    slots = sum(len(lod._patch_dofs(ctx, T, 2)) * sum(int(v) in free for v in mesh.coarse.elements[T])
+                for T in range(mesh.coarse.num_elements))
+    assert slots == 326302 and slots > 3 * Q.nnz
+    assert peak < 28 * slots, f"{peak / slots:.1f} B per slot"
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
