@@ -26,6 +26,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,6 +431,13 @@ def _svg_coords(k, log_err, k_range, y_range):
     return x, y
 
 
+def _k_label(k):
+    """A k tick label: k itself up to 6 digits, else two significant digits and an
+    exponent ("1.3e399"), rounded from k's exact decimal string, never a float."""
+    digits = str(k)
+    return digits if len(digits) <= 6 else f"{Decimal(digits):.1e}".replace("e+", "e")
+
+
 def _render_panel(operator, rows):
     """One self-contained SVG: log10 relative error against patch size."""
     pts = [
@@ -470,7 +478,7 @@ def _render_panel(operator, rows):
         out.append(f'<line x1="{x:.1f}" y1="{y0:.1f}" x2="{x:.1f}" y2="{y0 + 5:.1f}" stroke="black"/>')
         out.append(
             f'<text x="{x:.1f}" y="{y0 + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{k}</text>'
+            f'font-family="sans-serif" font-size="12">{_k_label(k)}</text>'
         )
     dec = max(1, int(round((y_hi - y_lo) / 8)))
     lvl = y_lo

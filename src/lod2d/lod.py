@@ -32,9 +32,9 @@ from .errors import ParameterError, SolverError
 from .interp import InterpOperator
 from .mesh import ElementSet, element_patch
 
-# elements per right-hand-side block: one block per whole run of equal systems
-# raised the desk sweep's peak RSS by about 15%; blocks of 8 keep it in its spread
-_CHUNK = 8
+# distinct right-hand sides per SaddleSystem.solve call: bounds a block's memory where a
+# group holds many distinct columns (on a saturated patch, up to four per element)
+_BLOCK_COLUMNS = 32
 
 
 def _worker_count():
@@ -181,24 +181,31 @@ def _saddle_system(ctx, op, dofs):
 
 
 def _block_solve(ctx, system, items):
-    """Solve the elements ``items`` (rows of the work table) that share ``system``
-    as one block B of right-hand sides, and return each element's columns of the
-    solution.  Element by element, in order, B holds the columns of T's rows
-    ``KP`` of K_T @ P for its hats ``verts``, then its ``load`` column when there
-    is one, each in the rows of T's own patch DOFs ``dofs`` that hold T's free
-    nodes ``nodes`` (all of them, for k >= 1)."""
-    widths = [len(verts) + (load is not None) for _, _, _, verts, _, _, load in items]
-    B = np.zeros((system.n, sum(widths)))
-    labels = []
-    for (_, T, dofs, verts, nodes, KP, load), start in zip(items, np.cumsum(widths) - widths):
+    """Solve the right-hand sides of the elements ``items`` (rows of the work table)
+    that share ``system``, each distinct column once, in blocks of at most
+    ``_BLOCK_COLUMNS``; yield each solution with its targets, the (item, column)
+    pairs that hold it.  Item by item, the columns are T's rows ``KP`` of K_T @ P
+    for its hats ``verts``, then its ``load`` when there is one, each in the rows of
+    T's own patch DOFs ``dofs`` that hold T's free nodes ``nodes`` (all of them, for
+    k >= 1).  Equal rows and values make an equal column of B, and SaddleSystem.solve
+    gives each column the bits of its own one-column solve, so one solve serves
+    every target of a column bit for bit.  A residual miss names the column's first
+    element."""
+    distinct = {}  # rows and values -> label, rows, values and targets, in first-seen order
+    for i, (_, T, dofs, verts, nodes, KP, load) in enumerate(items):
         rows = np.searchsorted(dofs, nodes)
-        cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
-        B[rows, start : start + len(verts)] = KP[:, cols]
-        labels += [f"coarse element {T}, hat {v}" for v in verts]
-        if load is not None:
-            B[rows, start + len(verts)] = load
-            labels.append(f"coarse element {T}, load")
-    return np.split(system.solve(B, labels)[0], np.cumsum(widths)[:-1], axis=1)
+        columns = [(f"hat {v}", KP[:, c]) for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
+        for j, (name, b) in enumerate(columns + [("load", load)] * (load is not None)):
+            key = rows.tobytes() + b.tobytes()
+            distinct.setdefault(key, (f"coarse element {T}, {name}", rows, b, []))[3].append((i, j))
+    entries = list(distinct.values())
+    for start in range(0, len(entries), _BLOCK_COLUMNS):
+        block = entries[start : start + _BLOCK_COLUMNS]
+        B = np.zeros((system.n, len(block)))
+        for j, (_, rows, b, _) in enumerate(block):
+            B[rows, j] = b
+        U = system.solve(B, [label for label, *_ in block])[0]
+        yield from ((U[:, j], targets) for j, (*_, targets) in enumerate(block))
 
 
 def element_corrector(ctx, op, i, T, k=None):
@@ -218,7 +225,7 @@ def element_corrector(ctx, op, i, T, k=None):
     system = _saddle_system(ctx, op, dofs)
     nodes, KP, _ = _element_blocks(ctx, [T])[0]
     out = np.zeros(mesh.fine.num_nodes)
-    out[dofs] = _block_solve(ctx, system, [(None, T, dofs, [int(i)], nodes, KP, None)])[0][:, 0]
+    out[dofs] = next(_block_solve(ctx, system, [(None, T, dofs, [int(i)], nodes, KP, None)]))[0]
     return out
 
 
@@ -227,7 +234,8 @@ class CorrectorSet:
     """Per free coarse node corrector vectors, summed over owning elements.
 
     ``factorizations`` counts the patch systems factorized, ``element_solves``
-    the coarse elements solved with them, ``dropped_rows`` the rows they dropped.
+    the coarse elements solved with them, ``column_solves`` the distinct
+    right-hand-side columns solved, ``dropped_rows`` the rows the systems dropped.
     """
 
     k: int
@@ -235,6 +243,7 @@ class CorrectorSet:
     factorizations: int
     element_solves: int
     dropped_rows: int
+    column_solves: int
 
 
 def compute_correctors(ctx, op, k, f_spec=None):
@@ -249,12 +258,13 @@ def compute_correctors(ctx, op, k, f_spec=None):
     takes each other element as a group of its own, in element order, and
     one helper of the ``LOD_THREADS`` helper pool runs each group,
     whatever the worker count: it cuts and factorizes the group's
-    ``SaddleSystem``, solves the elements' right-hand sides in blocks of
-    ``_CHUNK`` elements (``_block_solve``) into their own slots of Q and
-    drops the LU.  Q gets the arrays of a one-by-one traversal's COO
-    triplets, and u_f its sum in ascending element order, so the results
-    depend neither on the grouping nor on the helpers.  The call waits on the runs'
-    futures until all are done or one has failed; then, and also when
+    ``SaddleSystem``, solves each distinct right-hand-side column of the
+    group once (``_block_solve``), writes it into the slots of Q or the
+    load solutions of every element that holds it, and drops the LU.  Q
+    gets the arrays of a one-by-one traversal's COO triplets, and u_f its
+    sum in ascending element order, so the results depend neither on the
+    grouping nor on the helpers.  The call waits on the runs' futures
+    until all are done or one has failed; then, and also when
     the caller is interrupted, it cancels every future not yet started,
     waits for the running ones to drop their LUs, and raises the first
     error in submission order.
@@ -304,20 +314,22 @@ def compute_correctors(ctx, op, k, f_spec=None):
 
     def run(group):
         """Cut, factorize and solve the system of ``group`` (work indices), write its
-        elements' own slots and drop the LU, all on this thread; return the count of
-        dropped rows."""
+        elements' own slots and drop the LU, all on this thread; return the counts of
+        dropped rows and of solved columns."""
         system = _saddle_system(ctx, op, work[group[0]][2])  # no LU if this raises
         try:
-            for start in range(0, len(group), _CHUNK):
-                chunk = group[start : start + _CHUNK]
-                for idx, U in zip(chunk, _block_solve(ctx, system, [work[i] for i in chunk])):
-                    _, _, dofs, _, _, _, load = work[idx]
-                    for j, a in enumerate(starts[idx]):
+            solves = 0
+            for solves, (u, targets) in enumerate(_block_solve(ctx, system, [work[i] for i in group]), 1):
+                for i, j in targets:
+                    idx = group[i]
+                    _, _, dofs, verts, *_ = work[idx]
+                    if j == len(verts):  # the load
+                        u_parts[idx] = u.copy()  # a view would keep the whole block alive
+                    else:
+                        a = starts[idx][j]
                         q_cols[a : a + len(dofs)] = dofs
-                        q_vals[a : a + len(dofs)] = U[:, j]
-                    if load is not None:
-                        u_parts[idx] = U[:, -1].copy()  # a view would keep the whole block alive
-            return len(system.dropped_rows)
+                        q_vals[a : a + len(dofs)] = u
+            return len(system.dropped_rows), solves
         finally:
             system.release()  # scipy frees an LU only on the thread that built it
 
@@ -330,7 +342,7 @@ def compute_correctors(ctx, op, k, f_spec=None):
         wait(futures)  # the running ones drop their own LUs
     # the queue is FIFO, so the runs before a failed one have started, unless a helper
     # had only just taken one off it: skip the cancelled and raise the first error
-    dropped_rows = sum(f.result() for f in futures if not f.cancelled())
+    dropped_rows, column_solves = map(sum, zip((0, 0), *(f.result() for f in futures if not f.cancelled())))
 
     # scipy's sort of each row is not stable: the sum is bit-equal to a COO build's only
     # because it runs on the very arrays that build's conversion gives it
@@ -339,7 +351,7 @@ def compute_correctors(ctx, op, k, f_spec=None):
     u_f = np.zeros(n_fine)
     for idx in sorted(u_parts):
         u_f[work[idx][2]] += u_parts[idx]
-    return CorrectorSet(k, Q, len(groups), len(work), dropped_rows), u_f
+    return CorrectorSet(k, Q, len(groups), len(work), dropped_rows, column_solves), u_f
 
 
 @dataclass
@@ -381,6 +393,7 @@ def solve_multiscale(ctx, op, k, f_spec, rhs_correction=True) -> LodSolution:
             "f": f_spec.describe(),
             "factorizations": correctors.factorizations,
             "element_solves": correctors.element_solves,
+            "column_solves": correctors.column_solves,
             "dropped_rows": correctors.dropped_rows,
         },
     )

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,7 +342,20 @@ def test_k_too_large_for_a_float_saturates(tmp_path):
     assert len(rows) == 8 and {r.status for r in rows} == {"ok"}
     errors = {(r.operator, r.alpha, r.k): r.rel_energy_error for r in rows}
     assert all(errors[(op, alpha, huge)] == err for (op, alpha, k), err in errors.items() if k == 8)
-    assert f">{8 + (huge - 8) // 8}<" in (tmp_path / "out" / "plot_SZ.svg").read_text()  # second tick
+    assert ">1.3e399<" in (tmp_path / "out" / "plot_SZ.svg").read_text()  # second tick, 8 + (huge - 8) // 8
+
+
+def test_huge_k_tick_labels_stay_short(tmp_path):
+    """A k axis up to 10**400 labels its ticks in a short exponent form, not as
+    400-digit integers that run out of the 640-px panel; small k stay integers."""
+    cfg = write_config(tmp_path, f"csv = {tmp_path}/out/res.csv\nsvg_prefix = {tmp_path}/out/plot_\n",
+                       base=TINY.replace("k = 1,8", f"k = 8,{10**400}"))
+    assert cli(["run", str(cfg)]) == 0
+    for operator in ("SZ", "nodal"):
+        svg = (tmp_path / "out" / f"plot_{operator}.svg").read_text()
+        labels = re.findall(r'text-anchor="middle" font-family="sans-serif" font-size="12">([^<]*)<', svg)
+        assert len(labels) == 9 and labels[0] == "8" and labels[-1] == "1.0e400"
+        assert max(map(len, labels)) <= 8, labels
 
 
 def test_decay_honours_config_delta(tmp_path, capsys):

@@ -166,25 +166,39 @@ class CountingLU:
 
 
 def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
-    """With a small rect load, an element with free vertices but no load solves
-    one column per free vertex, one with load gets one more, and an element
-    with neither is never solved; element_solves counts the solved ones.  The
-    elements of a system go in blocks of at most lod._CHUNK, and a block of g
-    columns costs ceil(g / 3) SuperLU calls of at most three columns each."""
+    """With a small rect load, an element with free vertices but no load has one
+    column per free vertex, one with load gets one more, and an element with
+    neither is never solved; element_solves counts the solved ones.  Every column
+    of a solved element gets exactly one solution.  A SaddleSystem.solve block
+    holds at most lod._BLOCK_COLUMNS columns, and a block of g columns costs
+    ceil(g / 3) SuperLU calls of at most three columns each."""
     mesh, coef, ctx, op = small
     monkeypatch.setenv("LOD_THREADS", "1")  # the spies count the calls of one thread
-    solved, blocks, lu_columns = [], [], []
-    splu, block_solve = assembly.spla.splu, lod._block_solve
+    targets, blocks, lu_columns = [], [], []
+    splu, solve, block_solve = assembly.spla.splu, SaddleSystem.solve, lod._block_solve
 
     def recording(ctx, system, items):
+        for u, held in block_solve(ctx, system, items):
+            targets.extend((items[i][1], len(items[i][3]), j) for i, j in held)
+            yield u, held
+
+    def spying(self, B, labels=None):
         before = len(lu_columns)
-        Us = block_solve(ctx, system, items)
-        blocks.append((len(items), sum(U.shape[1] for U in Us), lu_columns[before:]))
-        solved.extend((item[1], len(item[3]), U.shape[1]) for item, U in zip(items, Us))
-        return Us
+        out = solve(self, B, labels)
+        blocks.append((B.shape[1], lu_columns[before:]))
+        return out
 
     monkeypatch.setattr(assembly.spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw), lu_columns))
+    monkeypatch.setattr(SaddleSystem, "solve", spying)
     monkeypatch.setattr(lod, "_block_solve", recording)
+
+    def solved():
+        """Per solved element: its free vertex count and its solved columns, sorted."""
+        out = {}
+        for T, n_verts, j in targets:
+            out.setdefault(T, (n_verts, []))[1].append(j)
+        return {T: (n_verts, sorted(js)) for T, (n_verts, js) in out.items()}
+
     f = LoadSpec.rectangle(0.25, 0.5, 0.25, 0.5)
     correctors, u_f = compute_correctors(ctx, op, 2, f)
     elements = set(range(mesh.coarse.num_elements))
@@ -192,19 +206,20 @@ def test_element_load_solves_only_where_there_is_work(small, monkeypatch):
               if assemble_load(mesh, f, mesh.fine_elements_of_coarse([T]))[1].any()}
     has_verts = {T for T in elements if np.isin(mesh.coarse.elements[T], op.free_nodes).any()}
     assert loaded and has_verts - loaded and elements - loaded - has_verts
-    assert sorted(T for T, _, _ in solved) == sorted(loaded | has_verts)
-    for T, n_verts, n_cols in solved:
-        assert n_cols == n_verts + (T in loaded)
-    assert correctors.element_solves == len(solved)
+    assert sorted(solved()) == sorted(loaded | has_verts)
+    for T, (n_verts, js) in solved().items():
+        assert js == list(range(n_verts + (T in loaded)))
+    assert correctors.element_solves == len(solved())
     assert np.abs(u_f).max() > 0.0
-    assert max(n for n, _, _ in blocks) > 1
-    for n_elements, g, calls in blocks:
-        assert 1 <= n_elements <= lod._CHUNK
+    assert max(g for g, _ in blocks) > 1
+    for g, calls in blocks:
+        assert 1 <= g <= lod._BLOCK_COLUMNS
         assert len(calls) == -(-g // 3) and max(calls) <= 3 and sum(calls) == g
-    solved.clear()
+    assert correctors.column_solves == sum(g for g, _ in blocks) == sum(lu_columns)
+    targets.clear()
     correctors, u_f = compute_correctors(ctx, op, 2)
-    assert sorted(T for T, _, _ in solved) == sorted(has_verts)
-    assert all(n_cols == n_verts for _, n_verts, n_cols in solved)
+    assert sorted(solved()) == sorted(has_verts)
+    assert all(js == list(range(n_verts)) for n_verts, js in solved().values())
     assert correctors.element_solves == len(has_verts) and not u_f.any()
 
 
@@ -215,7 +230,11 @@ def test_block_solves_equal_column_solves(monkeypatch, coefficient):
     the multipliers bit for bit as its columns solved one by one as 1-D
     right-hand sides.  SuperLU's blocks of at most three columns do so with the
     SuperLU and BLAS builds in use, not by any promise of theirs; a build that
-    breaks it must fail here, since the corrector pass's results rest on it."""
+    breaks it must fail here, since the corrector pass's results rest on it: a
+    column solved once serves every element that holds it.  Pass 2 solves only
+    distinct columns, which on the stripes make narrow blocks, so a wide block
+    of real right-hand sides, the hat columns of four elements on the saturated
+    patch they share, is also solved directly."""
     levels = (3, 6) if coefficient == "stripes" else (2, 5)
     mesh = build_hierarchy(*levels, BoundarySpec.all_edges())
     coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
@@ -241,7 +260,17 @@ def test_block_solves_equal_column_solves(monkeypatch, coefficient):
         op = build_operator(kind, mesh, coef)
         for k in (1, 2, 3):
             compute_correctors(ctx, op, k, f_spec=f)
-    assert max(widths) > 3 * 3  # blocks of several elements, each in several calls
+        dofs = lod._patch_dofs(ctx, 0, saturation_k(mesh))
+        system = lod._saddle_system(ctx, op, dofs)
+        try:
+            B = np.zeros((system.n, 12))
+            for T, (nodes, KP, _) in enumerate(lod._element_blocks(ctx, range(4))):
+                B[np.searchsorted(dofs, nodes), 3 * T : 3 * T + 3] = KP
+            assert np.count_nonzero(np.abs(B).sum(axis=0)) == 12
+            system.solve(B)
+        finally:
+            system.release()
+    assert max(widths) >= 12  # blocks of several elements, each in several calls
 
 
 @pytest.fixture(scope="module")
@@ -659,15 +688,17 @@ def test_results_do_not_depend_on_helper_count(monkeypatch, coefficient, dirichl
 
 
 def recording_solutions(monkeypatch):
-    """Record, per coarse element solved, its patch DOFs, free vertices and block
-    solution, from whichever helper solves it."""
+    """Record, per coarse element solved, its patch DOFs, free vertices and the
+    solution of each of its columns (hats, then load) by column index, from
+    whichever helper solves it and whichever element's column it was solved as."""
     solved, block_solve = {}, lod._block_solve
 
     def recording(ctx, system, items):
-        Us = block_solve(ctx, system, items)
-        for (_, T, dofs, verts, *_), U in zip(items, Us):
-            solved[T] = (dofs, verts, U)
-        return Us
+        for u, targets in block_solve(ctx, system, items):
+            for i, j in targets:
+                _, T, dofs, verts, *_ = items[i]
+                solved.setdefault(T, (dofs, verts, {}))[2][j] = u.copy()
+            yield u, targets
 
     monkeypatch.setattr(lod, "_block_solve", recording)
     return solved
@@ -679,7 +710,7 @@ def coo_triplet_build(op, n_fine, solved):
     the CSR slots that ``compute_correctors`` writes."""
     row_of = {int(z): r for r, z in enumerate(op.free_nodes)}
     parts = [(np.repeat([row_of[v] for v in verts], len(dofs)).astype(np.int32),
-              np.tile(dofs, len(verts)), U[:, : len(verts)].T.ravel())
+              np.tile(dofs, len(verts)), np.array([U[j] for j in range(len(verts))]).ravel())
              for _, (dofs, verts, U) in sorted(solved.items())]
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return sparse.csr_matrix((vals, (rows, cols)), shape=(len(op.free_nodes), n_fine))
@@ -691,7 +722,9 @@ def test_q_slots_equal_the_coo_triplet_build(monkeypatch, coefficient, dirichlet
     """Q's data, indices and indptr, dtypes included, equal scipy's conversion of the
     per-element COO triplets, with one helper and with two, without a load and with
     one that also loads a corner element with no free vertex: the slots hold the
-    arrays that conversion buckets by row, and scipy sorts and sums both alike."""
+    arrays that conversion buckets by row, and scipy sorts and sums both alike.  The
+    triplets take each element's columns as recorded for that element, so a column
+    solved once for several elements must reach each of their slots."""
     levels = (3, 6) if coefficient == "stripes" else (2, 5)  # stripes need h <= 1/64
     mesh = build_hierarchy(*levels, BoundarySpec.edges(*dirichlet))
     coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
@@ -711,6 +744,100 @@ def test_q_slots_equal_the_coo_triplet_build(monkeypatch, coefficient, dirichlet
             assert_arrays_equal([Q.data, Q.indices, Q.indptr], [ref.data, ref.indices, ref.indptr])
             assert Q.nnz < sum(len(dofs) * len(verts) for dofs, verts, _ in solved.values())
             assert (f is rect) == any(not verts for _, verts, _ in solved.values())
+
+
+def every_column_distinct(monkeypatch):
+    """Solve every column of every element, none shared: each element's hat columns
+    and then its load column as one block of its own, each column serving only
+    itself."""
+
+    def solve_each(ctx, system, items):
+        for i, (_, T, dofs, verts, nodes, KP, load) in enumerate(items):
+            cols = [c for c, v in enumerate(ctx.mesh.coarse.elements[T]) if v in verts]
+            B = np.zeros((system.n, len(cols) + (load is not None)))
+            rows = np.searchsorted(dofs, nodes)
+            B[rows, : len(cols)] = KP[:, cols]
+            if load is not None:
+                B[rows, -1] = load
+            U = system.solve(B)[0]
+            yield from ((U[:, j], [(i, j)]) for j in range(B.shape[1]))
+
+    monkeypatch.setattr(lod, "_block_solve", solve_each)
+
+
+@pytest.mark.parametrize("coefficient", ["stripes", "balls", "field"])
+def test_shared_column_solves_equal_solving_every_column(monkeypatch, coefficient):
+    """Q, u_f and the three counters are bit for bit those of a pass that solves
+    every column of every element, with one helper and with two, for IH, SZ and
+    AprojQM at k = 1, 2 and saturated, without a load and with a rect load."""
+    levels = (3, 6) if coefficient == "stripes" else (2, 5)  # stripes need h <= 1/64
+    mesh = build_hierarchy(*levels, BoundarySpec.all_edges())
+    coef = {"stripes": lambda: gen_stripes(mesh, 1e-3),
+            "balls": lambda: gen_random_balls(mesh, 1e-3, 2),
+            "field": lambda: gen_random_field(mesh, 1e-3, 1)}[coefficient]()
+    ctx = BilinearFormContext(mesh, coef)
+    rect = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    usable_cpus(monkeypatch, 2)
+    for kind in ("IH", "SZ", "AprojQM"):
+        op = build_operator(kind, mesh, coef)
+        for k, f in itertools.product((1, 2, None), (None, rect)):
+            with monkeypatch.context() as m:
+                every_column_distinct(m)
+                m.setenv("LOD_THREADS", "1")
+                ref = compute_correctors(ctx, op, k, f_spec=f)
+            for helpers in ("1", "2"):
+                monkeypatch.setenv("LOD_THREADS", helpers)
+                got = compute_correctors(ctx, op, k, f_spec=f)
+                assert_arrays_equal(corrector_arrays(*got), corrector_arrays(*ref))
+                assert got[0].column_solves <= ref[0].column_solves
+            assert (f is None) == (not ref[1].any())
+
+
+def element_columns(ctx, op, k, f):
+    """Per work element, its system's full key and its columns (hats, then load), each
+    as the bytes of its patch rows and of its values, from the one-element assembly."""
+    mesh = ctx.mesh
+    out = []
+    for T in range(mesh.coarse.num_elements):
+        nodes, free, KP = element_rhs(ctx, T)
+        values = [KP[:, c] for c, v in enumerate(mesh.coarse.elements[T]) if v in op.free_nodes]
+        load = assemble_load(mesh, f, mesh.fine_elements_of_coarse([T]))[1][free]
+        values += [load] * bool(load.any())
+        if values:
+            dofs = lod._patch_dofs(ctx, T, k)
+            rows = np.searchsorted(dofs, nodes).tobytes()
+            key = lod._system_key(ctx, op, T, k, dofs)
+            out.append([(key, rows, b.tobytes()) for b in values])
+    return out
+
+
+@pytest.mark.parametrize("coefficient", ["stripes", "field"])
+def test_superlu_solves_each_distinct_column_once(monkeypatch, coefficient):
+    """The columns SuperLU solves, which ``column_solves`` and the solve metadata
+    count, are the distinct (patch system, column) pairs over the work elements:
+    fewer than the elements' columns on the stripes, where translated elements
+    repeat both, and all of them on a random field, where no system repeats."""
+    mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
+    coef = gen_stripes(mesh, 1e-3) if coefficient == "stripes" else gen_random_field(mesh, 1e-3, 1)
+    ctx = BilinearFormContext(mesh, coef)
+    op = build_operator("IH", mesh, coef)
+    f = LoadSpec.rectangle(0.25, 0.75, 0.25, 0.5)
+    lu_columns, splu = [], assembly.spla.splu
+    monkeypatch.setenv("LOD_THREADS", "1")  # the spy counts the calls of one thread
+    monkeypatch.setattr(assembly.spla, "splu", lambda *a, **kw: CountingLU(splu(*a, **kw), lu_columns))
+    for k in (1, 2):
+        lu_columns.clear()
+        correctors, _ = compute_correctors(ctx, op, k, f_spec=f)
+        columns = element_columns(ctx, op, k, f)
+        distinct = len(set(itertools.chain(*columns)))
+        assert correctors.column_solves == sum(lu_columns) == distinct
+        assert correctors.element_solves == len(columns)
+        if coefficient == "stripes":
+            assert distinct < sum(map(len, columns))
+        else:
+            assert distinct == sum(map(len, columns))
+    lu_columns.clear()
+    assert solve_multiscale(ctx, op, 1, f).metadata["column_solves"] == sum(lu_columns) > 0
 
 
 def test_corrector_call_peak_memory_per_q_slot(monkeypatch):
@@ -748,8 +875,9 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     runs not yet started do nothing, every LU is dropped on the thread that
     built it before the call returns, and a clean call on the same context and
     operator then gives the one-worker results array for array.  A residual
-    miss in one column of a block of several elements names that column's
-    element and hat in the error, with that column's residuals."""
+    miss in one column of a block of several distinct columns names that
+    column's first element and its hat or load in the error, with that
+    column's residuals."""
     mesh = build_hierarchy(3, 6, BoundarySpec.all_edges())
     coef = gen_random_field(mesh, 1e-3, 1)
     ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
@@ -828,12 +956,13 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     assert lu_threads("factorize") == lu_threads("release")
     assert_arrays_equal(corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f)), ref)
 
-    # a residual miss in one column inside a block of several elements, on the
-    # stripes, whose patch systems repeat: its own residuals are reported
+    # a residual miss in one column inside a block of several distinct columns, on
+    # the stripes, whose patch systems and columns repeat: its own residuals are
+    # reported, named by the first element of the group that holds that column
     coef = gen_stripes(mesh, 1e-3)
     ctx, op = BilinearFormContext(mesh, coef), build_operator("IH", mesh, coef)
     ref = corrector_arrays(*compute_correctors(ctx, op, 1, f_spec=f))
-    splu, block_solve = assembly.spla.splu, lod._block_solve
+    splu, block_solve, solve = assembly.spla.splu, lod._block_solve, SaddleSystem.solve
     target, lock, local = [], threading.Lock(), threading.local()
 
     class SkewedLU:
@@ -850,20 +979,34 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
             local.offset += x.shape[1]
             return x
 
+    def first_holder(items, b):
+        """The label of the first column of ``items`` equal to ``b`` in the patch rows."""
+        for _, T, dofs, verts, nodes, KP, load in items:
+            columns = [(f"hat {v}", KP[:, c]) for c, v in enumerate(mesh.coarse.elements[T]) if v in verts]
+            for name, values in columns + [("load", load)] * (load is not None):
+                column = np.zeros(len(dofs))
+                column[np.searchsorted(dofs, nodes)] = values
+                if np.array_equal(column, b):
+                    return f"coarse element {T}, {name}"
+
     def skewing(ctx, system, items):
+        local.items = items
+        return block_solve(ctx, system, items)
+
+    def solving(self, B, labels=None):
         local.offset = 0
         with lock:
-            if len(items) > 1 and not target:  # the second element's first column
-                _, T, _, verts, *_ = items[1]
-                target.append(f"coarse element {T}, " + (f"hat {verts[0]}" if verts else "load"))
-                local.column = len(items[0][3]) + (items[0][6] is not None)
+            if len(local.items) > 1 and B.shape[1] > 1 and not target:  # the block's second column
+                target.append(first_holder(local.items, B[:, 1]))
+                local.column = 1
         try:
-            return block_solve(ctx, system, items)
+            return solve(self, B, labels)
         finally:
             local.column = -1
 
     monkeypatch.setattr(assembly.spla, "splu", lambda *a, **kw: SkewedLU(splu(*a, **kw)))
     monkeypatch.setattr(lod, "_block_solve", skewing)
+    monkeypatch.setattr(SaddleSystem, "solve", solving)
     events.clear()
     with pytest.raises(SolverError, match="saddle solve residuals") as info:
         compute_correctors(ctx, op, 1, f_spec=f)
